@@ -4,16 +4,18 @@ Sup-type quantities (uniform distance, Holder-weighted distance) are grid
 suprema over logarithmic radii times sphere directions with one local
 refinement pass; true suprema over R^d are not computable and every result
 carries its grid report so callers can tighten.  Integral-type seminorms
-ride on the moment engine's difference integrator with the absolute value
-taken inside the angular mean.  The membership classifier combines three
-signals: the near-origin growth exponent, stabilization of the truncated
-integral under increasing cutoffs, and sign consistency of the implied
-moment.
+and membership take their integrand from the moment engine's
+:func:`~cfmoments.moment_engine.difference_profile` with the absolute value
+taken inside the angular mean, and the derivative seminorm hands its own
+evaluator to the same :class:`~cfmoments.moment_engine.DifferenceProfile`;
+all of them share the engine's head, panels and tail strategies.  The
+membership classifier combines three signals: the near-origin growth
+exponent, stabilization of the truncated integral under increasing
+cutoffs, and sign consistency of the implied moment.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,12 +23,18 @@ import numpy as np
 from .charfn import CharFn, make_point_mass
 from .errors import DivergenceSuspectedError, DomainError
 from .moment_engine import (
-    _BareProblem,
-    _difference_integral,
-    _sphere_rule,
+    DifferenceProfile,
+    SinSeriesTail,
+    StabilizedTail,
     absolute_moment,
+    difference_profile,
 )
-from .quadrature import QuadratureSpec, adaptive_panel_integral, trig_tail_integral
+from .quadrature import (
+    QuadratureSpec,
+    adaptive_panel_integral,
+    oscillatory_breakpoints,
+    sphere_rule,
+)
 from .specfun import (
     binomial_difference_coefficients,
     difference_integral_constant,
@@ -106,7 +114,7 @@ def _grid_sup(phi, psi, weight_exponent, grid):
     """Sup of |phi - psi| / r**weight_exponent over the grid, refined once."""
     d = phi.dim
     radii = np.geomspace(grid.r_min, grid.r_max, grid.n_radial)
-    nodes, _ = _sphere_rule(d, grid.sphere_order) if d > 1 else (np.array([[1.0]]), None)
+    nodes, _ = sphere_rule(d, grid.sphere_order) if d > 1 else (np.array([[1.0]]), None)
     best = -1.0
     best_r_idx = 0
     best_node = nodes[0]
@@ -177,7 +185,7 @@ def difference_holder_sup(phi: CharFn, k: int, beta: float,
     coeffs = binomial_difference_coefficients(k)
     d = phi.dim
     radii = np.geomspace(grid.r_min, grid.r_max, grid.n_radial)
-    nodes, _ = _sphere_rule(d, grid.sphere_order) if d > 1 else (np.array([[1.0]]), None)
+    nodes, _ = sphere_rule(d, grid.sphere_order) if d > 1 else (np.array([[1.0]]), None)
     best = 0.0
     for node in nodes:
         acc = np.zeros(radii.size, dtype=complex)
@@ -186,154 +194,6 @@ def difference_holder_sup(phi: CharFn, k: int, beta: float,
             acc += coeffs[m] * np.asarray(phi.minus_one(pts))
         best = max(best, float((np.abs(acc) / radii**beta).max()))
     return best
-
-
-def _assemble_pair_problem(phi: CharFn, psi: CharFn | None, k: int,
-                           spec: QuadratureSpec, real_part: bool) -> _BareProblem:
-    """|Delta^k (phi - psi)| reduced over the sphere, with tail structure.
-
-    ``psi=None`` means the constant transform, which makes this the
-    membership integrand: differences annihilate constants, so only the
-    tail limit shifts.
-    """
-    from .moment_engine import _check_tail_mode
-
-    coeffs = binomial_difference_coefficients(k)
-    d = phi.dim
-    if psi is not None and psi.dim != d:
-        raise DomainError("dimension mismatch")
-    _check_tail_mode(spec, phi)
-    c0 = coeffs[0]
-    l_phi = phi.tail_limit if phi.envelope is not None else None
-    if psi is None:
-        l_psi = 1.0
-    else:
-        l_psi = psi.tail_limit if psi.envelope is not None else None
-
-    def pair_m1(pts):
-        a = np.asarray(phi.minus_one(pts))
-        if psi is None:
-            return a
-        return a - np.asarray(psi.minus_one(pts))
-
-    both_radial = phi.is_radial and (psi is None or psi.is_radial)
-    if both_radial:
-        def delta(r):
-            r = np.asarray(r, dtype=float)
-            g = phi.radial_minus_one
-            h = None if psi is None else psi.radial_minus_one
-            acc = np.zeros(r.shape, dtype=complex)
-            for m in range(1, k + 1):
-                term = np.asarray(g(m * r))
-                if h is not None:
-                    term = term - np.asarray(h(m * r))
-                acc = acc + coeffs[m] * term
-            return acc
-
-        def D(r):
-            vals = delta(r)
-            return np.abs(np.real(vals)) if real_part else np.abs(vals)
-
-        def noise_proxy(r):
-            r = np.asarray(r, dtype=float)
-            g = phi.radial_minus_one
-            h = None if psi is None else psi.radial_minus_one
-            acc = np.zeros(r.shape)
-            for m in range(1, k + 1):
-                acc = acc + abs(coeffs[m]) * np.abs(np.asarray(g(m * r)))
-                if h is not None:
-                    acc = acc + abs(coeffs[m]) * np.abs(np.asarray(h(m * r)))
-            return acc
-    elif d <= 3:
-        nodes, node_w = _sphere_rule(d, spec.sphere_order)
-        area = sphere_area(d)
-
-        def D(r):
-            r = np.asarray(r, dtype=float)
-            acc = np.zeros((r.size, nodes.shape[0]), dtype=complex)
-            for m in range(1, k + 1):
-                pts = (m * r)[:, None, None] * nodes[None, :, :]
-                acc += coeffs[m] * np.asarray(pair_m1(pts.reshape(-1, d))).reshape(r.size, -1)
-            mags = np.abs(np.real(acc)) if real_part else np.abs(acc)
-            return (mags @ node_w) / area
-
-        def noise_proxy(r):
-            r = np.asarray(r, dtype=float)
-            acc = np.zeros(r.size)
-            for m in range(1, k + 1):
-                pts = (m * r)[:, None, None] * nodes[None, :, :]
-                flat = pts.reshape(-1, d)
-                mag = np.abs(np.asarray(phi.minus_one(flat)))
-                if psi is not None:
-                    mag = mag + np.abs(np.asarray(psi.minus_one(flat)))
-                acc = acc + abs(coeffs[m]) * (mag.reshape(r.size, -1) @ node_w)
-            return acc / area
-    else:
-        raise DomainError("non-radial seminorms are limited to dimension 3")
-
-    # limiting constant of Delta^k(phi - psi); unknown decay means None
-    if l_phi is None or l_psi is None:
-        d_inf = 0.0
-        tail_kind = "stabilize"
-        envelope = None
-    else:
-        d_inf = -c0 * (l_phi - l_psi)
-        tail_kind = "envelope"
-        e1 = phi.envelope
-        e2 = None if psi is None else psi.envelope
-
-        def envelope(r):
-            acc = np.asarray(e1(r), dtype=float)
-            if e2 is not None:
-                acc = acc + np.asarray(e2(r), dtype=float)
-            return acc
-
-    atoms_pair = phi.atoms is not None and (psi is None or psi.atoms is not None)
-    if atoms_pair and tail_kind == "stabilize":
-        tail_kind = "abs-atomic"
-    freq = k * (phi.osc_scale + (psi.osc_scale if psi is not None else 0.0))
-    return _BareProblem(
-        D=D,
-        angular=sphere_area(d),
-        d_inf=d_inf,
-        freq=float(freq),
-        tail_kind={"abs-atomic": "atomic"}.get(tail_kind, tail_kind),
-        envelope=envelope,
-        noise_proxy=noise_proxy,
-    )
-
-
-def _sin_pair_structure(phi, psi, k):
-    """Detect |Delta(phi-psi)| = amp * 2|sin(c r / 2)| (two unit atoms, k=1)."""
-    if k != 1 or phi.dim != 1:
-        return None
-    if phi.atoms is None or phi.atoms.size != 1:
-        return None
-    a = float(phi.atoms.points[0, 0])
-    if psi is None:
-        b = 0.0
-    else:
-        if psi.atoms is None or psi.atoms.size != 1:
-            return None
-        b = float(psi.atoms.points[0, 0])
-    c = abs(a - b)
-    if c == 0.0:
-        return None
-    return c
-
-
-def _sin_tail(c: float, alpha: float, R: float, n_terms: int = 64):
-    """``int_R^inf r**(-1-alpha) 2|sin(c r / 2)| dr`` via the Fourier series
-    of |sin|; returns (value, error bound)."""
-    val = (4.0 / math.pi) * R ** (-alpha) / alpha
-    err = 0.0
-    for n in range(1, n_terms + 1):
-        t, te = trig_tail_integral(n * c * R, alpha)
-        val -= (8.0 / math.pi) * (n * c) ** alpha * t / (4.0 * n**2 - 1.0)
-        err += (8.0 / math.pi) * (n * c) ** alpha * te / (4.0 * n**2 - 1.0)
-    n = n_terms
-    err += (16.0 / math.pi) / max(c * R, 1e-300) * R ** (-alpha) / (8.0 * n**2)
-    return val, err
 
 
 def difference_seminorm(phi: CharFn, psi: CharFn, alpha: float, k: int,
@@ -351,15 +211,11 @@ def difference_seminorm(phi: CharFn, psi: CharFn, alpha: float, k: int,
     if k < 1:
         raise DomainError("k must be at least 1")
     spec = spec or QuadratureSpec()
-    sin_c = _sin_pair_structure(phi, psi, k)
-    problem = _assemble_pair_problem(phi, psi, k, spec, real_part)
-    if sin_c is not None and not real_part:
-        problem.tail_exact = lambda a, R: _sin_tail(sin_c, a, R)
-    value, error, diag = _difference_integral(
-        problem, k, alpha, spec, abs_mode=True
-    )
-    total = problem.angular * float(np.real(value))
-    diag["integral_error"] = problem.angular * error
+    profile = difference_profile(phi, psi, k=k, spec=spec,
+                                 part="real" if real_part else "complex", magnitude=True)
+    value, error, diag = profile.integrate(alpha, spec)
+    total = profile.angular * float(np.real(value))
+    diag["integral_error"] = profile.angular * error
     return MetricResult(
         max(total, 0.0),
         integral_component=max(total, 0.0),
@@ -430,15 +286,13 @@ def membership(phi: CharFn, alpha: float, k: int,
     spec = spec or QuadratureSpec()
     if alpha <= 0:
         raise DomainError("alpha must be positive")
-    problem = _assemble_pair_problem(phi, None, k, spec, real_part=(k % 2 == 1))
+    profile = difference_profile(phi, k=k, spec=spec,
+                                 part="real" if k % 2 == 1 else "complex", magnitude=True)
     details = {}
 
     # least-squares origin exponent over the innermost dyadic panels
-    a = spec.origin_cut
-    if problem.freq > 0.0:
-        a = min(a, 0.25 / problem.freq)
-    rs = a * 0.5 ** np.arange(8)
-    mags = np.abs(np.asarray(problem.D(rs)))
+    rs = profile.origin_cut(spec) * 0.5 ** np.arange(8)
+    mags = np.asarray(profile.D(rs))
     slope = None
     if np.all(mags > 0.0):
         coef = np.polyfit(np.log(rs), np.log(mags), 1)
@@ -451,10 +305,7 @@ def membership(phi: CharFn, alpha: float, k: int,
         )
 
     try:
-        value, error, diag = _difference_integral(
-            problem, k, alpha, spec, abs_mode=True,
-            slope_margin=0.05, raise_on_divergence=True,
-        )
+        value, error, diag = profile.integrate(alpha, spec, slope_margin=0.05)
     except DivergenceSuspectedError as exc:
         return MembershipReport(
             "divergence-suspected", None, slope, None,
@@ -465,19 +316,16 @@ def membership(phi: CharFn, alpha: float, k: int,
             "divergence-suspected", None, slope, None,
             {**details, "reason": "difference integral did not resolve numerically"},
         )
-    integral_value = problem.angular * float(np.real(value))
+    integral_value = profile.angular * float(np.real(value))
 
     # stabilization under doubling cutoffs
     R = diag["tail_start"]
 
     def truncated_increment(lo, hi):
-        def f(r):
-            return r ** (-1.0 - alpha) * np.abs(np.asarray(problem.D(r)))
-
-        from .quadrature import oscillatory_breakpoints
-
-        bp = oscillatory_breakpoints(lo, hi, problem.freq, per_octave=3)
-        v, _, _, _ = adaptive_panel_integral(f, bp, 1e-6, spec.abs_tol, spec.max_panels)
+        bp = oscillatory_breakpoints(lo, hi, profile.freq, per_octave=3)
+        v, _, _, _ = adaptive_panel_integral(
+            profile.integrand(alpha), bp, 1e-6, spec.abs_tol, spec.max_panels
+        )
         return float(np.real(v))
 
     inc1 = truncated_increment(R, 2.0 * R)
@@ -486,7 +334,7 @@ def membership(phi: CharFn, alpha: float, k: int,
     if inc2 > 1.05 * inc1 + spec.abs_tol:
         return MembershipReport(
             "divergence-suspected", None, slope,
-            problem.angular * diag["tail_value"],
+            profile.angular * diag["tail_value"],
             {**details, "reason": "truncated integral keeps growing"},
         )
 
@@ -501,14 +349,14 @@ def membership(phi: CharFn, alpha: float, k: int,
     except DivergenceSuspectedError as exc:
         return MembershipReport(
             "divergence-suspected", integral_value, slope,
-            problem.angular * diag["tail_value"],
+            profile.angular * diag["tail_value"],
             {**details, "reason": f"signed formula inconsistent: {exc}"},
         )
     return MembershipReport(
         "finite",
         integral_value,
         slope,
-        problem.angular * diag["tail_value"],
+        profile.angular * diag["tail_value"],
         details,
     )
 
@@ -533,34 +381,21 @@ def derivative_seminorm(phi: CharFn, sigma, gamma: float,
     d = phi.dim
     order = sum(sigma)
     base = complex(np.asarray(phi.derivative(sigma, np.zeros((1, d))))[0])
-    nodes, node_w = _sphere_rule(d, spec.sphere_order)
+    nodes, node_w = sphere_rule(d, spec.sphere_order)
     area = sphere_area(d)
 
-    def D(r):
-        r = np.asarray(r, dtype=float)
+    def evaluate(r, with_magnitude):
         pts = r[:, None, None] * nodes[None, :, :]
         vals = np.asarray(phi.derivative(sigma, pts.reshape(-1, d))).reshape(r.size, -1)
-        return (np.abs(vals - base) @ node_w) / area
+        return (np.abs(vals - base) @ node_w) / area, None
 
-    tail_exact = None
+    tail = StabilizedTail(abs(base))
     if phi.atoms is not None and phi.atoms.size == 1 and d == 1:
         # single atom at a: |phi^(m)(xi) - phi^(m)(0)| = |a|**m 2|sin(a xi/2)|
         c = abs(float(phi.atoms.points[0, 0]))
         if c > 0.0:
-            amp = c**order
+            tail = SinSeriesTail(c, c**order)
 
-            def tail_exact(g, R):
-                t, te = _sin_tail(c, g, R)
-                return amp * t, amp * te
-
-    problem = _BareProblem(
-        D=D,
-        angular=area,
-        d_inf=abs(base),
-        freq=float(phi.osc_scale),
-        tail_kind="stabilize",
-        envelope=None,
-        tail_exact=tail_exact,
-    )
-    value, error, diag = _difference_integral(problem, 1, gamma, spec, abs_mode=True)
-    return max(problem.angular * float(np.real(value)), 0.0)
+    profile = DifferenceProfile(evaluate, area, float(phi.osc_scale), magnitude=True, tail=tail)
+    value, error, diag = profile.integrate(gamma, spec)
+    return max(profile.angular * float(np.real(value)), 0.0)

@@ -1,24 +1,30 @@
 """Absolute moments from characteristic functions via iterated differences.
 
 The moment of order alpha is a normalizing constant times the integral of
-``Delta_xi^k phi(0) / |xi|^(d+alpha)`` over R^d.  The engine evaluates that
-integral in three regions: an analytic power-law head below the origin
-cut (the difference vanishes like ``r**p_hat`` there and the fitted model
-integrates exactly), adaptive Gauss-Kronrod panels in the middle, and an
-analytic tail in which the constant part of the difference integrates in
-closed form while the remainder is either bounded through the transform's
-decay envelope or evaluated by integration-by-parts asymptotics for
-finitely supported measures.
+``Delta_xi^k phi(0) / |xi|^(d+alpha)`` over R^d.  Every difference integral
+of the package (moments, seminorms, membership, the derivative seminorm)
+is built by one builder, :func:`difference_profile`.  It reduces the
+integrand to a one-dimensional :class:`DifferenceProfile` ``D(r)`` over one
+of three geometries: the radial profile of a radially symmetric transform,
+a sphere product rule up to dimension three, or an exact reduction over the
+atoms of a finitely supported measure.
 
-Radially symmetric transforms reduce to a one-dimensional profile
-integral times the sphere area; everything else goes through a product
-rule (sphere nodes times adaptive radius) up to dimension three, with an
-exact spherical reduction when the measure's atoms are known.
+The integral of ``r**(-1-alpha) D(r)`` is then taken in three regions: an
+analytic power-law head below the origin cut (the difference vanishes like
+``r**p_hat`` there and the fitted model integrates exactly, with geometric
+descent until the model's share is negligible), adaptive Gauss-Kronrod
+panels in the middle, and a tail beyond them.  The profile carries one of
+five tail strategies, each of which integrates the limit of D in closed
+form and treats the remainder its own way: a decay-envelope bound, per-atom
+integration-by-parts asymptotics, the |D| window mean for atom pairs, a
+stabilized window around a known or estimated limit, or the exact Fourier
+series of |sin| for a pair of single atoms.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +39,7 @@ from .quadrature import (
     geometric_breakpoints,
     origin_power_model,
     oscillatory_breakpoints,
+    sphere_rule,
     trig_tail_integral,
 )
 from .specfun import (
@@ -50,6 +57,8 @@ __all__ = [
     "even_order_moment",
     "radial_difference_integral",
     "fulldim_difference_integral",
+    "DifferenceProfile",
+    "difference_profile",
 ]
 
 _INT_TOL = 1e-9
@@ -99,59 +108,6 @@ def select_difference_order(alpha: float, prefer_real: bool = True):
     while alpha >= k + 1:
         k += 2
     return k, "M13"
-
-
-def _sphere_rule(d: int, order: int):
-    """Nodes (n, d) and weights summing to the sphere area."""
-    if d == 1:
-        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
-    if d == 2:
-        t, w = np.polynomial.legendre.leggauss(order)
-        theta = (t + 1.0) * math.pi
-        nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        return nodes, w * math.pi
-    if d == 3:
-        u, wu = np.polynomial.legendre.leggauss(order)
-        n_phi = max(8, order)
-        phi = 2.0 * math.pi * (np.arange(n_phi) + 0.5) / n_phi
-        su = np.sqrt(1.0 - u**2)
-        nodes = np.stack(
-            [
-                np.outer(su, np.cos(phi)).ravel(),
-                np.outer(su, np.sin(phi)).ravel(),
-                np.repeat(u, n_phi),
-            ],
-            axis=1,
-        )
-        weights = np.repeat(wu, n_phi) * (2.0 * math.pi / n_phi)
-        return nodes, weights
-    raise DomainError("product quadrature supports d <= 3 only")
-
-
-@dataclass
-class _BareProblem:
-    """The reduced one-dimensional integrand and its tail structure.
-
-    ``D(r)`` is the angular mean of the k-fold difference (times the
-    angular measure handled by ``angular``); ``d_inf`` its limit at
-    infinity; the tail is resolved through a decay envelope, through
-    per-atom oscillatory asymptotics, or by plain stabilization.
-    ``noise_proxy`` bounds the cancellation scale of ``D`` (the sum of the
-    term magnitudes) so the origin descent knows where the evaluator's
-    floating accuracy gives out.
-    """
-
-    D: callable
-    angular: float
-    d_inf: float
-    freq: float
-    tail_kind: str                 # envelope | atomic | stabilize
-    envelope: callable | None = None
-    radii: np.ndarray | None = None
-    radial_weights: np.ndarray | None = None
-    kernel: str = "cos"            # cos | j0 | sinc
-    noise_proxy: callable | None = None
-    tail_exact: callable | None = None  # (alpha, R) -> (value, err), full tail
 
 
 def _kernel_minus_one(kernel, y):
@@ -204,6 +160,262 @@ def _kernel_tail(kernel, y, alpha):
     raise DomainError(f"unknown kernel {kernel}")
 
 
+# Tail strategies.  Beyond the radius R where the mid panels stop,
+# ``int_R^inf r**(-1-alpha) D(r) dr`` splits into the limit of D, which
+# integrates in closed form, and a remainder.  ``bound`` is the remainder's
+# size at R, which drives the extension of the mid panels; ``close`` returns
+# (constant part, remainder, remainder error).  A strategy whose remainder
+# is evaluated rather than bounded reports a zero bound, so R never moves.
+
+
+@dataclass(frozen=True)
+class EnvelopeTail:
+    """Remainder bounded through the transforms' decay envelopes."""
+
+    limit: float
+    coeffs: np.ndarray
+    envelopes: tuple
+
+    def bound(self, profile, alpha, R):
+        total = 0.0
+        for m in range(1, self.coeffs.size):
+            r = np.array([m * R])
+            env = sum(float(np.asarray(e(r)).ravel()[0]) for e in self.envelopes)
+            total += abs(self.coeffs[m]) * env * (m * R) ** (-alpha) / alpha
+        return total
+
+    def close(self, profile, alpha, R):
+        return self.limit * R ** (-alpha) / alpha, 0.0, self.bound(profile, alpha, R)
+
+
+@dataclass(frozen=True)
+class AtomicTail:
+    """Per-atom integration-by-parts asymptotics of the oscillating
+    kernels of a finitely supported measure."""
+
+    limit: float
+    coeffs: np.ndarray
+    radii: np.ndarray
+    weights: np.ndarray
+    kernel: str
+
+    def bound(self, profile, alpha, R):
+        return 0.0
+
+    def close(self, profile, alpha, R):
+        val = 0.0
+        err = 0.0
+        for m in range(1, self.coeffs.size):
+            for rho, w in zip(self.radii, self.weights):
+                t, te = _kernel_tail(self.kernel, float(m * R * rho), alpha)
+                val += self.coeffs[m] * (m * rho) ** alpha * w * t
+                err += abs(self.coeffs[m]) * (m * rho) ** alpha * w * te
+        return self.limit * R ** (-alpha) / alpha, val, err
+
+
+@dataclass(frozen=True)
+class StabilizedTail:
+    """Remainder bounded by the spread of D around its limit over a far
+    window; a ``limit`` of None is estimated as the mean of a farther one."""
+
+    limit: float | None
+
+    def _limit(self, profile, R):
+        if self.limit is not None:
+            return self.limit
+        vals = np.asarray(profile.D(R * np.linspace(0.85, 1.0, 24)))
+        return float(np.real(vals).mean())
+
+    def bound(self, profile, alpha, R):
+        vals = np.asarray(profile.D(R * np.linspace(0.55, 1.0, 16)))
+        resid = np.abs(vals - self._limit(profile, R))
+        return float(resid.max()) * R ** (-alpha) / alpha
+
+    def close(self, profile, alpha, R):
+        const = self._limit(profile, R) * R ** (-alpha) / alpha
+        return const, 0.0, self.bound(profile, alpha, R)
+
+
+@dataclass(frozen=True)
+class WindowMeanTail(StabilizedTail):
+    """Window mean of the almost-periodic |difference| of atom pairs times
+    the power tail; the window spread feeds the error bar."""
+
+    def close(self, profile, alpha, R):
+        resid = np.abs(np.asarray(profile.D(R * np.linspace(0.5, 1.0, 128)))) - self.limit
+        mean = float(resid.mean())
+        spread = float(resid.std()) / math.sqrt(2.0) + 0.05 * abs(mean)
+        scale = R ** (-alpha) / alpha
+        const = self.limit * R ** (-alpha) / alpha
+        return const, mean * scale, (spread + 0.1 * np.abs(resid).max()) * scale
+
+
+@dataclass(frozen=True)
+class SinSeriesTail:
+    """``D = amp * 2|sin(c r / 2)|``, integrated through the Fourier series
+    of |sin|; the limit is part of the series."""
+
+    c: float
+    amp: float = 1.0
+
+    def bound(self, profile, alpha, R):
+        return 0.0
+
+    def close(self, profile, alpha, R):
+        c = self.c
+        n_terms = 64
+        val = (4.0 / math.pi) * R ** (-alpha) / alpha
+        err = 0.0
+        for n in range(1, n_terms + 1):
+            t, te = trig_tail_integral(n * c * R, alpha)
+            val -= (8.0 / math.pi) * (n * c) ** alpha * t / (4.0 * n**2 - 1.0)
+            err += (8.0 / math.pi) * (n * c) ** alpha * te / (4.0 * n**2 - 1.0)
+        err += (16.0 / math.pi) / max(c * R, 1e-300) * R ** (-alpha) / (8.0 * n_terms**2)
+        return 0.0, self.amp * val, self.amp * err
+
+
+@dataclass(frozen=True)
+class DifferenceProfile:
+    """The one-dimensional integrand of a difference integral, with its tail.
+
+    ``D(r)`` is the angular mean of the k-fold difference at radius r, or of
+    its absolute value when ``magnitude`` is set (then D is nonnegative).
+    The difference integral is ``angular`` times the integral of
+    ``r**(-1-alpha) D(r)`` over (0, inf).  ``evaluate(r, with_magnitude)``
+    returns D and, when asked, the sum of the term magnitudes, which bounds
+    the cancellation scale of D (None when the evaluator has no terms to
+    sum); ``freq`` is the oscillation frequency of D that panels must
+    resolve, and ``tail`` one of the tail strategies above.
+    """
+
+    evaluate: Callable
+    angular: float
+    freq: float
+    magnitude: bool
+    tail: object
+
+    def D(self, r):
+        return self.evaluate(np.asarray(r, dtype=float), False)[0]
+
+    def integrand(self, alpha):
+        """``r**(-1-alpha) D(r)``, the integrand of every region."""
+        def f(r):
+            return r ** (-1.0 - alpha) * self.D(r)
+        return f
+
+    def origin_cut(self, spec: QuadratureSpec) -> float:
+        """Matching point of the origin model, inside the first oscillation."""
+        if self.freq > 0.0:
+            return min(spec.origin_cut, 0.25 / self.freq)
+        return spec.origin_cut
+
+    def noise_limited(self, r) -> bool:
+        """Whether rounding in the terms rivals D at r."""
+        d_here, terms = self.evaluate(np.array([r]), True)
+        if terms is None:
+            return False
+        d_here = abs(d_here[0])
+        return d_here <= 0.0 or 2e-16 * terms[0] > 1e-4 * d_here
+
+    def integrate(self, alpha: float, spec: QuadratureSpec, *,
+                  slope_margin=_SLOPE_MARGIN, raise_on_divergence=True):
+        """``(value, error, diagnostics)`` without the angular factor."""
+        return _difference_integral(self, alpha, spec, slope_margin=slope_margin,
+                                    raise_on_divergence=raise_on_divergence)
+
+
+def _reduce_part(acc, part, magnitude):
+    vals = np.real(acc) if part == "real" else acc
+    return np.abs(vals) if magnitude else vals
+
+
+def _radial_terms(coeffs, g, h, part, magnitude):
+    """Evaluator of ``sum_m c_m (g - h)(m r)`` for radial profiles g, h."""
+
+    def evaluate(r, with_magnitude):
+        acc = 0.0
+        terms = 0.0
+        for m in range(1, coeffs.size):
+            a = np.asarray(g(m * r))
+            b = None if h is None else np.asarray(h(m * r))
+            acc = acc + coeffs[m] * (a if b is None else a - b)
+            if with_magnitude:
+                terms = terms + abs(coeffs[m]) * np.abs(a)
+                if b is not None:
+                    terms = terms + abs(coeffs[m]) * np.abs(b)
+        return _reduce_part(acc, part, magnitude), terms if with_magnitude else None
+
+    return evaluate
+
+
+def _sphere_terms(coeffs, f, h, d, order, part, magnitude):
+    """Evaluator of the sphere-rule mean of ``sum_m c_m (f - h)(m r u)``.
+
+    Signed means are combined per m; with ``magnitude`` the absolute value
+    is taken per node, before the mean.
+    """
+    nodes, node_w = sphere_rule(d, order)
+    area = sphere_area(d)
+
+    def evaluate(r, with_magnitude):
+        acc = np.zeros((r.size, node_w.size) if magnitude else r.size, dtype=complex)
+        terms = 0.0
+        for m in range(1, coeffs.size):
+            flat = ((m * r)[:, None, None] * nodes[None, :, :]).reshape(-1, d)
+            vals = np.asarray(f(flat)).reshape(r.size, -1)
+            if with_magnitude:
+                amp = np.abs(vals)
+            if h is not None:
+                other = np.asarray(h(flat)).reshape(r.size, -1)
+                if with_magnitude:
+                    amp = amp + np.abs(other)
+                vals = vals - other
+            if magnitude:
+                acc += coeffs[m] * vals
+            else:
+                acc = acc + coeffs[m] * (vals @ node_w)
+            if with_magnitude:
+                terms = terms + abs(coeffs[m]) * (amp @ node_w)
+        if magnitude:
+            D = (_reduce_part(acc, part, True) @ node_w) / area
+        else:
+            acc /= area
+            D = _reduce_part(acc, part, False)
+        return D, terms / area if with_magnitude else None
+
+    return evaluate
+
+
+def _atomic_terms(phi: CharFn, coeffs):
+    """Evaluator, frequency and tail over the atom radii: the sphere mean
+    of each plane wave is the kernel K(m r rho), so no angular rule is
+    needed."""
+    kernel = {1: "cos", 2: "j0", 3: "sinc"}.get(phi.dim)
+    if kernel is None:
+        raise DomainError("atomic reduction supports d <= 3 only")
+    rho = phi.atoms.radii()
+    pos = rho > 0.0
+    w_origin = float(phi.atoms.weights[~pos].sum())
+    radii = rho[pos]
+    weights = phi.atoms.weights[pos]
+    k = coeffs.size - 1
+    ms = np.arange(1, k + 1)
+
+    def evaluate(r, with_magnitude):
+        y = r[:, None, None] * (ms[None, :, None] * radii[None, None, :])
+        # K - 1 per factor keeps the origin cancellation exact; the
+        # m = 0 term vanishes identically in this form
+        kv = _kernel_minus_one(kernel, y)
+        D = np.einsum("m,rmj,j->r", coeffs[1:], kv, weights)
+        if not with_magnitude:
+            return D, None
+        return D, np.einsum("m,rmj,j->r", np.abs(coeffs[1:]), np.abs(kv), weights)
+
+    freq = k * radii.max() if radii.size else 0.0
+    tail = AtomicTail(coeffs[0] * (1.0 - w_origin), coeffs, radii, weights, kernel)
+    return evaluate, freq, tail
+
+
 def _check_tail_mode(spec: QuadratureSpec, phi: CharFn):
     if spec.tail_mode == "analytic-bound" and phi.envelope is None:
         raise DomainError(
@@ -215,186 +427,83 @@ def _check_tail_mode(spec: QuadratureSpec, phi: CharFn):
         )
 
 
-def _assemble_problem(phi: CharFn, k: int, alpha: float, spec: QuadratureSpec,
-                      real_part: bool) -> _BareProblem:
+def _single_atom_gap(factors, k):
+    """Distance c of two unit atoms in d = 1 (one factor: the other sits at
+    the origin), where ``|Delta(phi - psi)| = 2|sin(c r / 2)|`` for k = 1."""
+    if k != 1 or factors[0].dim != 1 or any(
+        f.atoms is None or f.atoms.size != 1 for f in factors
+    ):
+        return None
+    points = [float(f.atoms.points[0, 0]) for f in factors]
+    c = abs(points[0] - (points[1] if len(points) == 2 else 0.0))
+    return c if c != 0.0 else None
+
+
+def _profile_tail(phi, psi, coeffs, part, magnitude):
+    factors = [phi] if psi is None else [phi, psi]
+    gap = _single_atom_gap(factors, coeffs.size - 1)
+    if magnitude and part == "complex" and gap is not None:
+        return SinSeriesTail(gap)
+    enveloped = all(f.envelope is not None for f in factors)
+    if magnitude and not enveloped:
+        # no known limit for |difference|: the tail measures D itself
+        if all(f.atoms is not None for f in factors):
+            return WindowMeanTail(0.0)
+        return StabilizedTail(0.0)
+    # differences annihilate constants: only the transforms' limits remain
+    l_psi = 1.0 if psi is None else psi.tail_limit
+    limit = -coeffs[0] * (phi.tail_limit - l_psi)
+    if magnitude:
+        limit = abs(limit)
+    if not enveloped:
+        return StabilizedTail(limit)
+    return EnvelopeTail(limit, coeffs, tuple(f.envelope for f in factors))
+
+
+def difference_profile(phi: CharFn, psi: CharFn | None = None, *, k: int,
+                       spec: QuadratureSpec, part: str, magnitude: bool) -> DifferenceProfile:
+    """The profile ``D(r)`` of ``Delta_xi^k (phi - psi)(0)`` and its tail rule.
+
+    ``psi=None`` means the constant transform 1, which differences
+    annihilate: D is then the difference of ``phi`` alone.  ``part`` is
+    ``'real'`` (real part of the difference) or ``'complex'``.  With
+    ``magnitude`` the absolute value is taken inside the angular mean,
+    which makes D the integrand of the seminorms and of membership.
+
+    Radial transforms reduce to their profile; signed differences of
+    finitely supported measures reduce exactly over the atoms; everything
+    else uses the sphere product rule up to dimension three.
+    """
+    if part not in ("real", "complex"):
+        raise DomainError(f"part must be 'real' or 'complex', not {part!r}")
     coeffs = binomial_difference_coefficients(k)
     d = phi.dim
-    c0 = coeffs[0]
-    ms = np.arange(1, k + 1)
+    if psi is not None and psi.dim != d:
+        raise DomainError("dimension mismatch")
     _check_tail_mode(spec, phi)
-
-    if phi.atoms is not None and spec.tail_mode != "analytic-bound":
-        rho = phi.atoms.radii()
-        w = phi.atoms.weights
-        pos = rho > 0.0
-        w_origin = float(w[~pos].sum())
-        radii = rho[pos]
-        weights = w[pos]
-        if d == 1:
-            kernel = "cos"
-        elif d == 2:
-            kernel = "j0"
-        elif d == 3:
-            kernel = "sinc"
-        else:
-            raise DomainError("atomic reduction supports d <= 3 only")
-
-        def D(r):
-            r = np.asarray(r, dtype=float)
-            y = r[:, None, None] * (ms[None, :, None] * radii[None, None, :])
-            # K - 1 per factor keeps the origin cancellation exact; the
-            # m = 0 term vanishes identically in this form
-            kv = _kernel_minus_one(kernel, y)
-            return np.einsum("m,rmj,j->r", coeffs[1:], kv, weights)
-
-        def noise_proxy(r):
-            r = np.asarray(r, dtype=float)
-            y = r[:, None, None] * (ms[None, :, None] * radii[None, None, :])
-            kv = np.abs(_kernel_minus_one(kernel, y))
-            return np.einsum("m,rmj,j->r", np.abs(coeffs[1:]), kv, weights)
-
-        freq = float(k * radii.max()) if radii.size else 0.0
-        return _BareProblem(
-            D=D,
-            angular=sphere_area(d),
-            d_inf=c0 * (1.0 - w_origin),
-            freq=freq,
-            tail_kind="atomic",
-            radii=radii,
-            radial_weights=weights,
-            kernel=kernel,
-            noise_proxy=noise_proxy,
-        )
-
-    if phi.is_radial:
-        g = phi.radial_minus_one
-
-        def D(r):
-            r = np.asarray(r, dtype=float)
-            acc = coeffs[1] * np.asarray(g(1.0 * r))
-            for m in range(2, k + 1):
-                acc = acc + coeffs[m] * np.asarray(g(m * r))
-            return np.real(acc) if real_part else acc
-
-        def noise_proxy(r):
-            r = np.asarray(r, dtype=float)
-            acc = abs(coeffs[1]) * np.abs(np.asarray(g(1.0 * r)))
-            for m in range(2, k + 1):
-                acc = acc + abs(coeffs[m]) * np.abs(np.asarray(g(m * r)))
-            return acc
-
-        tail_kind = "envelope" if phi.envelope is not None else "stabilize"
-        return _BareProblem(
-            D=D,
-            angular=sphere_area(d),
-            d_inf=c0 * (1.0 - phi.tail_limit),
-            freq=float(k * phi.osc_scale),
-            tail_kind=tail_kind,
-            envelope=phi.envelope,
-            noise_proxy=noise_proxy,
-        )
-
-    if d > 3:
+    if (not magnitude and psi is None and phi.atoms is not None
+            and spec.tail_mode != "analytic-bound"):
+        evaluate, freq, tail = _atomic_terms(phi, coeffs)
+        return DifferenceProfile(evaluate, sphere_area(d), float(freq), magnitude=False, tail=tail)
+    if phi.is_radial and (psi is None or psi.is_radial):
+        evaluate = _radial_terms(coeffs, phi.radial_minus_one,
+                                 None if psi is None else psi.radial_minus_one,
+                                 part, magnitude)
+    elif d <= 3:
+        evaluate = _sphere_terms(coeffs, phi.minus_one,
+                                 None if psi is None else psi.minus_one,
+                                 d, spec.sphere_order, part, magnitude)
+    else:
         raise DomainError(
             f"non-radial transforms are limited to dimension 3 (got d={d})"
         )
-
-    nodes, node_w = _sphere_rule(d, spec.sphere_order)
-    area = sphere_area(d)
-
-    def D(r):
-        r = np.asarray(r, dtype=float)
-        acc = np.zeros(r.size, dtype=complex)
-        for m in range(1, k + 1):
-            pts = (m * r)[:, None, None] * nodes[None, :, :]
-            vals = np.asarray(phi.minus_one(pts.reshape(-1, d))).reshape(r.size, -1)
-            acc = acc + coeffs[m] * (vals @ node_w)
-        acc /= area
-        return np.real(acc) if real_part else acc
-
-    def noise_proxy(r):
-        r = np.asarray(r, dtype=float)
-        acc = np.zeros(r.size)
-        for m in range(1, k + 1):
-            pts = (m * r)[:, None, None] * nodes[None, :, :]
-            vals = np.asarray(phi.minus_one(pts.reshape(-1, d))).reshape(r.size, -1)
-            acc = acc + abs(coeffs[m]) * (np.abs(vals) @ node_w)
-        return acc / area
-
-    tail_kind = "envelope" if phi.envelope is not None else "stabilize"
-    return _BareProblem(
-        D=D,
-        angular=area,
-        d_inf=c0 * (1.0 - phi.tail_limit),
-        freq=float(k * phi.osc_scale),
-        tail_kind=tail_kind,
-        envelope=phi.envelope,
-        noise_proxy=noise_proxy,
-    )
+    freq = k * (phi.osc_scale + (0.0 if psi is None else psi.osc_scale))
+    tail = _profile_tail(phi, psi, coeffs, part, magnitude)
+    return DifferenceProfile(evaluate, sphere_area(d), float(freq), magnitude=magnitude, tail=tail)
 
 
-def _envelope_tail_bound(problem: _BareProblem, k: int, alpha: float, R: float) -> float:
-    coeffs = binomial_difference_coefficients(k)
-    total = 0.0
-    for m in range(1, k + 1):
-        env = float(np.asarray(problem.envelope(np.array([m * R]))).ravel()[0])
-        total += abs(coeffs[m]) * env * (m * R) ** (-alpha) / alpha
-    return total
-
-
-def _atomic_tail(problem: _BareProblem, k: int, alpha: float, R: float):
-    coeffs = binomial_difference_coefficients(k)
-    val = 0.0
-    err = 0.0
-    for m in range(1, k + 1):
-        for rho, w in zip(problem.radii, problem.radial_weights):
-            t, te = _kernel_tail(problem.kernel, float(m * R * rho), alpha)
-            val += coeffs[m] * (m * rho) ** alpha * w * t
-            err += abs(coeffs[m]) * (m * rho) ** alpha * w * te
-    return val, err
-
-
-def _resolve_d_inf(problem: _BareProblem, R: float, abs_mode: bool):
-    """The limiting constant of D, estimated from a far window when the
-    problem does not carry it analytically."""
-    if problem.d_inf is not None:
-        return abs(problem.d_inf) if abs_mode else problem.d_inf
-    rs = R * np.linspace(0.85, 1.0, 24)
-    vals = np.asarray(problem.D(rs))
-    if abs_mode:
-        return float(np.abs(vals).mean())
-    return float(np.real(vals).mean())
-
-
-def _stabilize_tail_bound(problem: _BareProblem, alpha: float, R: float,
-                          abs_mode: bool = False) -> float:
-    rs = R * np.linspace(0.55, 1.0, 16)
-    vals = np.asarray(problem.D(rs))
-    d_inf = _resolve_d_inf(problem, R, abs_mode)
-    resid = np.abs((np.abs(vals) if abs_mode else vals) - d_inf)
-    return float(resid.max()) * R ** (-alpha) / alpha
-
-
-def _abs_atomic_tail(problem: _BareProblem, alpha: float, R: float):
-    """Mean-value tail of an almost-periodic |difference| beyond R.
-
-    ``int_R^inf r**(-1-alpha) |D| dr`` is approximated by the window mean
-    of ``|D| - |d_inf|`` times the power tail; the window spread feeds the
-    error bar.  Exact enough for classification work, with honesty about
-    the remainder.
-    """
-    rs = R * np.linspace(0.5, 1.0, 128)
-    vals = np.abs(np.asarray(problem.D(rs)))
-    resid = vals - abs(problem.d_inf)
-    mean = float(resid.mean())
-    spread = float(resid.std()) / math.sqrt(2.0) + 0.05 * abs(mean)
-    scale = R ** (-alpha) / alpha
-    return mean * scale, (spread + 0.1 * np.abs(resid).max()) * scale
-
-
-def _origin_descent(problem: _BareProblem, a: float, alpha: float,
-                    spec: QuadratureSpec, *, slope_margin, raise_on_divergence,
-                    abs_mode=False):
+def _origin_descent(profile: DifferenceProfile, a: float, alpha: float,
+                    spec: QuadratureSpec, *, slope_margin, raise_on_divergence):
     """Head integral over (0, a]: geometric panels plus a power-law model.
 
     The fitted model ``D(r) ~ D(x) (r/x)**slope`` is exact only to its
@@ -404,29 +513,15 @@ def _origin_descent(problem: _BareProblem, a: float, alpha: float,
     the model closes the integral with a tight error bar.
     """
     om = origin_power_model(
-        problem.D, a, alpha,
+        profile.D, a, alpha,
         slope_margin=slope_margin,
         raise_on_divergence=raise_on_divergence,
-        abs_mode=abs_mode,
+        abs_mode=profile.magnitude,
     )
     if not np.isfinite(om.error) or om.slope is None:
         return om.contribution, om.error, om.slope, 0
     tol_head = max(spec.abs_tol, spec.rel_tol * abs(om.contribution)) / 8.0
-
-    def integrand(r):
-        vals = np.asarray(problem.D(r))
-        if abs_mode:
-            vals = np.abs(vals)
-        return r ** (-1.0 - alpha) * vals
-
-    def noise_bound_hit(r):
-        # the deepest refit probe sits at r/8; stop while it is still clean
-        if problem.noise_proxy is None:
-            return False
-        probe = r / 8.0
-        proxy = float(np.asarray(problem.noise_proxy(np.array([probe]))).ravel()[0])
-        d_here = abs(np.asarray(problem.D(np.array([probe]))).ravel()[0])
-        return d_here <= 0.0 or 2e-16 * proxy > 1e-4 * d_here
+    integrand = profile.integrand(alpha)
 
     head = 0.0
     head_err = 0.0
@@ -435,7 +530,8 @@ def _origin_descent(problem: _BareProblem, a: float, alpha: float,
     while abs(om.contribution) > tol_head and octaves < 256:
         batch = min(4, 256 - octaves)
         lo = x * 0.5**batch
-        if noise_bound_hit(lo):
+        # the deepest refit probe sits at lo/8; stop while it is still clean
+        if profile.noise_limited(lo / 8.0):
             break  # model at x stays the best available closure of (0, x]
         bp = geometric_breakpoints(lo, x, per_octave=2)
         val, err, _, _ = adaptive_panel_integral(
@@ -446,15 +542,15 @@ def _origin_descent(problem: _BareProblem, a: float, alpha: float,
         x = lo
         octaves += batch
         new_om = origin_power_model(
-            problem.D, x, alpha,
+            profile.D, x, alpha,
             slope_margin=slope_margin,
             raise_on_divergence=False,
-            abs_mode=abs_mode,
+            abs_mode=profile.magnitude,
         )
         if new_om.slope is None or not np.isfinite(new_om.error):
             # the refit degraded anyway: close (0, x] with a wide honest bar
             rs = x * 0.5 ** np.arange(4)
-            mags = np.abs(np.asarray(problem.D(rs)))
+            mags = np.abs(np.asarray(profile.D(rs)))
             om = OriginModel(0.0, float(10.0 * mags.max() * x ** (-alpha)), None,
                              complex(mags[0]), x)
             break
@@ -462,57 +558,41 @@ def _origin_descent(problem: _BareProblem, a: float, alpha: float,
     return head + om.contribution, head_err + om.error, om.slope, octaves
 
 
-def _difference_integral(problem: _BareProblem, k: int, alpha: float,
+def _difference_integral(profile: DifferenceProfile, alpha: float,
                          spec: QuadratureSpec, *, slope_margin=_SLOPE_MARGIN,
-                         raise_on_divergence=True, abs_mode=False):
-    """Integrate ``r**(-1-alpha) D(r)`` over (0, inf) for a bare problem.
+                         raise_on_divergence=True):
+    """Integrate ``r**(-1-alpha) D(r)`` over (0, inf) for a profile.
 
     Returns ``(value, error, diagnostics)`` on the bare scale (the caller
     multiplies by the angular factor).
     """
-    a = spec.origin_cut
-    if problem.freq > 0.0:
-        a = min(a, 0.25 / problem.freq)
+    a = profile.origin_cut(spec)
     head_val, head_err, slope, octaves = _origin_descent(
-        problem, a, alpha, spec,
+        profile, a, alpha, spec,
         slope_margin=slope_margin,
         raise_on_divergence=raise_on_divergence,
-        abs_mode=abs_mode,
     )
     if not np.isfinite(head_err):
         return math.nan, math.inf, {"origin_slope": slope, "diverged": True}
 
-    def integrand(r):
-        vals = np.asarray(problem.D(r))
-        if abs_mode:
-            vals = np.abs(vals)
-        return r ** (-1.0 - alpha) * vals
-
+    integrand = profile.integrand(alpha)
     r_mid = max(8.0 * spec.r_split, 64.0 * a)
-    bp = oscillatory_breakpoints(a, r_mid, problem.freq, per_octave=3)
+    bp = oscillatory_breakpoints(a, r_mid, profile.freq, per_octave=3)
     mid_val, mid_err, n_panels, converged = adaptive_panel_integral(
         integrand, bp, spec.rel_tol, spec.abs_tol, spec.max_panels
     )
 
-    def tail_bound(R):
-        if problem.tail_exact is not None:
-            return 0.0  # full tail evaluates in closed-ish form
-        if problem.tail_kind == "envelope":
-            return _envelope_tail_bound(problem, k, alpha, R)
-        if problem.tail_kind == "atomic" and not abs_mode:
-            return 0.0  # oscillatory tails evaluate semi-analytically
-        return _stabilize_tail_bound(problem, alpha, R, abs_mode=abs_mode)
-
+    tail = profile.tail
     R = r_mid
     scale = abs(head_val) + abs(mid_val) + spec.abs_tol
     extensions = 0
     while True:
         tol = max(spec.abs_tol, spec.rel_tol * scale) / 4.0
-        if tail_bound(R) <= tol or extensions >= 64 or n_panels >= spec.max_panels:
+        if tail.bound(profile, alpha, R) <= tol or extensions >= 64 or n_panels >= spec.max_panels:
             break
-        if problem.freq > 0.0 and R * problem.freq > 3.0 * spec.max_panels:
+        if profile.freq > 0.0 and R * profile.freq > 3.0 * spec.max_panels:
             break  # resolving further octaves would blow the panel budget
-        chunk_bp = oscillatory_breakpoints(R, 2.0 * R, problem.freq, per_octave=3)
+        chunk_bp = oscillatory_breakpoints(R, 2.0 * R, profile.freq, per_octave=3)
         chunk, chunk_err, chunk_panels, _ = adaptive_panel_integral(
             integrand, chunk_bp, spec.rel_tol, spec.abs_tol, spec.max_panels
         )
@@ -523,21 +603,7 @@ def _difference_integral(problem: _BareProblem, k: int, alpha: float,
         scale = abs(head_val) + abs(mid_val) + spec.abs_tol
         extensions += 1
 
-    if problem.tail_exact is not None:
-        const_tail = 0.0
-        rem_val, rem_err = problem.tail_exact(alpha, R)
-    else:
-        d_inf = _resolve_d_inf(problem, R, abs_mode)
-        const_tail = d_inf * R ** (-alpha) / alpha
-        if problem.tail_kind == "atomic" and not abs_mode:
-            rem_val, rem_err = _atomic_tail(problem, k, alpha, R)
-        elif problem.tail_kind == "atomic":
-            rem_val, rem_err = _abs_atomic_tail(problem, alpha, R)
-        elif problem.tail_kind == "envelope":
-            rem_val, rem_err = 0.0, _envelope_tail_bound(problem, k, alpha, R)
-        else:
-            rem_val, rem_err = 0.0, _stabilize_tail_bound(problem, alpha, R, abs_mode=abs_mode)
-
+    const_tail, rem_val, rem_err = tail.close(profile, alpha, R)
     value = head_val + mid_val + const_tail + rem_val
     error = head_err + mid_err + rem_err
     diagnostics = {
@@ -572,25 +638,17 @@ def radial_difference_integral(F, k: int, alpha: float, d: int = 1,
             return np.asarray(F(np.asarray(r, dtype=float))) - 1.0
 
     coeffs = binomial_difference_coefficients(k)
-
-    def D(r):
-        r = np.asarray(r, dtype=float)
-        acc = coeffs[1] * np.asarray(g(r))
-        for m in range(2, k + 1):
-            acc = acc + coeffs[m] * np.asarray(g(m * r))
-        return acc
-
-    problem = _BareProblem(
-        D=D,
+    profile = DifferenceProfile(
+        _radial_terms(coeffs, g, None, "complex", False),
         angular=1.0,
+        freq=0.0,
+        magnitude=False,
         # without a decay envelope the profile's limit is unknown and the
         # tail constant gets estimated from a far window instead
-        d_inf=coeffs[0] if envelope is not None else None,
-        freq=0.0,
-        tail_kind="envelope" if envelope is not None else "stabilize",
-        envelope=envelope,
+        tail=(StabilizedTail(None) if envelope is None
+              else EnvelopeTail(coeffs[0], coeffs, (envelope,))),
     )
-    value, error, diag = _difference_integral(problem, k, alpha, spec)
+    value, error, diag = profile.integrate(alpha, spec)
     if not diag.get("panels_converged", True) and error > 10 * max(
         spec.abs_tol, spec.rel_tol * abs(value)
     ):
@@ -611,13 +669,11 @@ def fulldim_difference_integral(phi: CharFn, k: int, alpha: float,
     imaginary residual is reported in the diagnostics.
     """
     spec = spec or QuadratureSpec()
-    if phi.dim > 3 and not phi.is_radial:
-        raise DomainError("non-radial transforms are limited to dimension 3")
-    problem = _assemble_problem(phi, k, alpha, spec, real_part=False)
-    value, error, diag = _difference_integral(problem, k, alpha, spec)
-    full = problem.angular * value
+    profile = difference_profile(phi, k=k, spec=spec, part="complex", magnitude=False)
+    value, error, diag = profile.integrate(alpha, spec)
+    full = profile.angular * value
     diag["imag_residual"] = abs(np.imag(full))
-    return complex(full), problem.angular * error, diag
+    return complex(full), profile.angular * error, diag
 
 
 def _validated_order(phi, alpha, k, formula):
@@ -691,10 +747,10 @@ def absolute_moment(phi: CharFn, alpha: float, spec: QuadratureSpec | None = Non
         err = err + imag_res
         J = J.real
     else:
-        problem = _assemble_problem(phi, k, alpha, spec, real_part=True)
-        value, error, diag = _difference_integral(problem, k, alpha, spec)
-        J = problem.angular * float(np.real(value))
-        err = problem.angular * error
+        profile = difference_profile(phi, k=k, spec=spec, part="real", magnitude=False)
+        value, error, diag = profile.integrate(alpha, spec)
+        J = profile.angular * float(np.real(value))
+        err = profile.angular * error
     value = A * J
     error = abs(A) * err + 4e-16 * abs(value)
     if rerouted:

@@ -9,6 +9,7 @@ the pieces the engine composes:
 * a near-origin power-law model that integrates the singular head
   analytically from a fitted local exponent,
 * breakpoint planners for geometric and oscillation-resolving panels,
+* the product rule over the unit sphere that reduces non-radial integrands,
 * the hybrid evaluator for oscillatory power tails.
 
 Panels are summed in breakpoint order, so results do not depend on the
@@ -33,6 +34,7 @@ __all__ = [
     "origin_power_model",
     "geometric_breakpoints",
     "oscillatory_breakpoints",
+    "sphere_rule",
     "trig_tail_integral",
 ]
 
@@ -215,6 +217,33 @@ def oscillatory_breakpoints(a, b, freq, per_octave=2, max_width_factor=0.5):
         if len(pts) > 2_000_000:
             raise QuadratureError("oscillatory breakpoint plan exploded")
     return np.asarray(pts)
+
+
+def sphere_rule(d: int, order: int):
+    """Nodes (n, d) and weights summing to the sphere area."""
+    if d == 1:
+        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
+    if d == 2:
+        t, w = np.polynomial.legendre.leggauss(order)
+        theta = (t + 1.0) * math.pi
+        nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        return nodes, w * math.pi
+    if d == 3:
+        u, wu = np.polynomial.legendre.leggauss(order)
+        n_phi = max(8, order)
+        phi = 2.0 * math.pi * (np.arange(n_phi) + 0.5) / n_phi
+        su = np.sqrt(1.0 - u**2)
+        nodes = np.stack(
+            [
+                np.outer(su, np.cos(phi)).ravel(),
+                np.outer(su, np.sin(phi)).ravel(),
+                np.repeat(u, n_phi),
+            ],
+            axis=1,
+        )
+        weights = np.repeat(wu, n_phi) * (2.0 * math.pi / n_phi)
+        return nodes, weights
+    raise DomainError("product quadrature supports d <= 3 only")
 
 
 @dataclass

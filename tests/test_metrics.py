@@ -1,5 +1,7 @@
 """Transform metrics, seminorms, membership classification."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,31 @@ class TestIntegralDistance:
     def test_point_mass_pair_oracle(self):
         r = mt.integral_distance(cf.make_point_mass([0.7]), cf.make_point_mass([-0.4]), 0.5)
         assert r.value == pytest.approx(RHO_POINT_MASSES, rel=1e-6)
+
+    @pytest.mark.parametrize("c,alpha", [(1.3, 0.5), (0.7, 0.3), (2.0, 0.8)])
+    def test_two_atom_window_tail_against_sin_series(self, c, alpha):
+        # by linearity rho(delta0/2 + delta_c/2, delta0) = rho(delta_c, delta0)/2:
+        # the left side closes its tail with the |D| window mean, the right
+        # side with the exact |sin| series
+        atom = cf.make_point_mass([c])
+        mix = cf.make_mixture([DELTA, atom], np.array([0.5, 0.5]))
+        lhs = mt.integral_distance(mix, DELTA, alpha)
+        rhs = mt.integral_distance(atom, DELTA, alpha)
+        bar = lhs.grid_report["integral_error"] + 0.5 * rhs.grid_report["integral_error"]
+        assert abs(lhs.value - 0.5 * rhs.value) <= bar
+
+    def test_plane_point_mass_reduces_to_line(self):
+        # in d = 2 the pair runs the sphere rule with |.| per node; the angle
+        # integrates out as int |cos|**alpha over the circle, which leaves
+        # the d = 1 distance times sqrt(pi) G((1+a)/2) / G((2+a)/2)
+        c, alpha = 1.3, 0.5
+        plane = mt.integral_distance(
+            cf.make_point_mass([c, 0.0]), cf.make_point_mass([0.0, 0.0]), alpha
+        )
+        line = mt.integral_distance(cf.make_point_mass([c]), DELTA, alpha)
+        factor = math.sqrt(math.pi) * gamma((1.0 + alpha) / 2.0) / gamma((2.0 + alpha) / 2.0)
+        bar = plane.grid_report["integral_error"] + factor * line.grid_report["integral_error"]
+        assert abs(plane.value - factor * line.value) <= bar
 
 
 class TestCompositeMetrics:

@@ -313,9 +313,10 @@ class TestFulldimIntegral:
     def test_radial_agreement(self):
         g = cf.make_gaussian(1.0, 2)
         full, err, diag = me.fulldim_difference_integral(g, 1, 0.5)
-        problem = me._assemble_problem(g, 1, 0.5, QuadratureSpec(), real_part=True)
-        radial, rerr, _ = me._difference_integral(problem, 1, 0.5, QuadratureSpec())
-        assert full.real == pytest.approx(problem.angular * radial.real, rel=1e-9)
+        profile = me.difference_profile(g, k=1, spec=QuadratureSpec(), part="real",
+                                        magnitude=False)
+        radial, rerr, _ = profile.integrate(0.5, QuadratureSpec())
+        assert full.real == pytest.approx(profile.angular * radial.real, rel=1e-9)
         assert abs(full.imag) <= 1e-9 * (1.0 + abs(full.real))
 
     def test_empirical_plane(self):
