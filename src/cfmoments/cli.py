@@ -4,8 +4,10 @@ Each subcommand reads a JSON task config, builds the measures it names,
 dispatches to the engines and writes a report (JSON or CSV).  Reports echo
 the library version, a hash of the canonical config, and the difference
 order / formula decisions so results can be audited against the moment
-formulas' hypotheses.  Exit status: 0 on success, 2 on config errors, 3 on
-computation errors; failures emit a machine-readable error object.
+formulas' hypotheses.  Exit status: 0 on success, 2 on config errors
+(every config problem surfaces as a ``DomainError`` where the config is
+read), 3 on computation errors and on any other exception a computation
+lets escape; failures emit a machine-readable error object.
 """
 
 from __future__ import annotations
@@ -42,39 +44,73 @@ def _config_hash(config) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+_REQUIRED = object()
+
+
+def _field(obj, key, convert=None, default=_REQUIRED):
+    """One config field, converted; a missing (or null) or malformed field
+    is a config error (``DomainError``), never a stray ``KeyError``."""
+    if obj.get(key) is None:
+        if default is _REQUIRED:
+            raise DomainError(f"config is missing {key!r}")
+        return default
+    try:
+        return obj[key] if convert is None else convert(obj[key])
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"config field {key!r}: {exc}") from exc
+
+
+def _floats(v):
+    return np.asarray(v, dtype=float)
+
+
+def _float_list(v):
+    return [float(x) for x in (v if isinstance(v, list) else [v])]
+
+
+def _object(v):
+    if not isinstance(v, dict):
+        raise TypeError("expected a JSON object")
+    return v
+
+
 def build_measure(spec_dict) -> charfn.CharFn:
     """Construct a transform from a declarative measure description."""
     if not isinstance(spec_dict, dict) or "family" not in spec_dict:
         raise DomainError("measure spec must be an object with a 'family' key")
     fam = spec_dict["family"]
-    d = int(spec_dict.get("d", 1))
+    d = _field(spec_dict, "d", int, 1)
     if fam == "gaussian":
-        return charfn.make_gaussian(float(spec_dict.get("t", 1.0)), d)
+        return charfn.make_gaussian(_field(spec_dict, "t", float, 1.0), d)
     if fam == "stable":
         return charfn.make_stable(
-            float(spec_dict["p"]), float(spec_dict.get("t", 1.0)), d
+            _field(spec_dict, "p", float), _field(spec_dict, "t", float, 1.0), d
         )
     if fam == "linnik":
-        return charfn.make_linnik(float(spec_dict["p"]), float(spec_dict["beta"]), d)
+        return charfn.make_linnik(_field(spec_dict, "p", float),
+                                  _field(spec_dict, "beta", float), d)
     if fam == "point_mass":
-        return charfn.make_point_mass(np.asarray(spec_dict["point"], dtype=float))
+        return charfn.make_point_mass(_field(spec_dict, "point", _floats))
     if fam == "schoenberg":
-        mixing = spec_dict["mixing"]
+        mixing = _field(spec_dict, "mixing", _object)
         measure = DiscreteMeasure(
-            np.asarray(mixing["atoms"], dtype=float).reshape(-1, 1),
-            np.asarray(mixing["weights"], dtype=float),
+            _field(mixing, "atoms", _floats).reshape(-1, 1),
+            _field(mixing, "weights", _floats),
         )
-        return charfn.make_schoenberg(measure, float(spec_dict["p"]), d)
+        return charfn.make_schoenberg(measure, _field(spec_dict, "p", float), d)
     if fam == "empirical":
-        pts = mc_oracle.load_samples_csv(spec_dict["samples"])
+        try:
+            pts = mc_oracle.load_samples_csv(_field(spec_dict, "samples", str))
+        except OSError as exc:
+            raise DomainError(f"cannot read samples: {exc}") from exc
         return charfn.make_empirical(pts)
     if fam == "pathological":
         m = lacunary_measure(
-            float(spec_dict["alpha"]), int(spec_dict.get("terms", 8)), d
+            _field(spec_dict, "alpha", float), _field(spec_dict, "terms", int, 8), d
         )
         return charfn.make_discrete(m, label=f"pathological(K={m.size})")
     if fam == "product":
-        factors = [build_measure(s) for s in spec_dict["factors"]]
+        factors = [build_measure(s) for s in _field(spec_dict, "factors", list)]
         if len(factors) < 2:
             raise DomainError("product needs at least two factors")
         out = factors[0]
@@ -82,16 +118,20 @@ def build_measure(spec_dict) -> charfn.CharFn:
             out = charfn.make_product(out, f)
         return out
     if fam == "mixture":
-        comps = [build_measure(s) for s in spec_dict["components"]]
-        return charfn.make_mixture(comps, np.asarray(spec_dict["weights"], dtype=float))
+        comps = [build_measure(s) for s in _field(spec_dict, "components", list)]
+        return charfn.make_mixture(comps, _field(spec_dict, "weights", _floats))
     raise DomainError(f"unknown measure family {fam!r}")
 
 
 def build_quadrature(config, tol_override=None) -> QuadratureSpec:
-    q = dict(config.get("quadrature", {}))
+    q = dict(_field(config, "quadrature", _object, {}))
     if tol_override is not None:
         q["rel_tol"] = tol_override
-    return QuadratureSpec(**q)
+    try:
+        return QuadratureSpec(**q)
+    except TypeError as exc:
+        # unknown keys, or values that do not compare as numbers
+        raise DomainError(f"quadrature: {exc}") from exc
 
 
 def _constants_row(k, alpha, d):
@@ -111,13 +151,13 @@ def _constants_row(k, alpha, d):
 
 
 def run_moment(config, spec, seed):
-    phi = build_measure(config["measure"])
-    alpha = float(config["alpha"])
+    phi = build_measure(_field(config, "measure"))
+    alpha = _field(config, "alpha", float)
     res = absolute_moment(
         phi,
         alpha,
         spec,
-        k=config.get("k"),
+        k=_field(config, "k", int, None),
         formula=config.get("formula"),
         method=config.get("method", "auto"),
     )
@@ -134,25 +174,23 @@ def run_moment(config, spec, seed):
 
 
 def run_metric(config, spec, seed):
-    kind = config["kind"]
-    a = build_measure(config["a"])
-    b = build_measure(config["b"])
-    alpha = config.get("alpha")
-    beta = config.get("beta")
-    k = int(config.get("k", 1))
+    kind = _field(config, "kind", str)
+    a = build_measure(_field(config, "a"))
+    b = build_measure(_field(config, "b"))
+    k = _field(config, "k", int, 1)
     if kind == "d_inf":
         r = metrics.sup_distance(a, b)
     elif kind == "d_beta":
-        r = metrics.holder_distance(a, b, float(beta))
+        r = metrics.holder_distance(a, b, _field(config, "beta", float))
     elif kind == "seminorm":
-        r = metrics.difference_seminorm(a, b, float(alpha), k, spec)
+        r = metrics.difference_seminorm(a, b, _field(config, "alpha", float), k, spec)
     elif kind == "rho":
-        r = metrics.integral_distance(a, b, float(alpha), spec)
+        r = metrics.integral_distance(a, b, _field(config, "alpha", float), spec)
     else:
         # composite kinds; composite_metric rejects unknown ones
         r = metrics.composite_metric(
-            kind, a, b, float(alpha),
-            None if beta is None else float(beta), k, spec,
+            kind, a, b, _field(config, "alpha", float),
+            _field(config, "beta", float, None), k, spec,
         )
     return [{
         "kind": kind,
@@ -162,15 +200,15 @@ def run_metric(config, spec, seed):
         "sup_component": r.sup_component,
         "integral_component": r.integral_component,
         "k": k,
-        "alpha": alpha,
-        "beta": beta,
+        "alpha": config.get("alpha"),
+        "beta": config.get("beta"),
     }]
 
 
 def run_membership(config, spec, seed):
-    phi = build_measure(config["measure"])
-    alpha = float(config["alpha"])
-    k = int(config.get("k", 1))
+    phi = build_measure(_field(config, "measure"))
+    alpha = _field(config, "alpha", float)
+    k = _field(config, "k", int, 1)
     rep = metrics.membership(phi, alpha, k, spec)
     row = {
         "measure": phi.label,
@@ -186,15 +224,14 @@ def run_membership(config, spec, seed):
 
 
 def run_heat(config, spec, seed):
-    check = config.get("check", "moment")
-    initial = build_measure(config["initial"])
-    p = float(config["p"])
-    alpha = float(config.get("alpha", 0.5))
+    check = _field(config, "check", str, "moment")
+    initial = build_measure(_field(config, "initial"))
+    p = _field(config, "p", float)
+    alpha = _field(config, "alpha", float, 0.5)
     if check == "moment":
         rows = []
-        times = config["t"] if isinstance(config["t"], list) else [config["t"]]
-        for t in times:
-            res, bound, ok = heat.moment_propagation_check(initial, p, float(t), alpha, spec)
+        for t in _field(config, "t", _float_list):
+            res, bound, ok = heat.moment_propagation_check(initial, p, t, alpha, spec)
             rows.append({
                 "check": check, "t": t, "alpha": alpha, "p": p,
                 "moment": res.value, "error_estimate": res.error_estimate,
@@ -202,9 +239,9 @@ def run_heat(config, spec, seed):
             })
         return rows
     if check == "decay":
-        other = build_measure(config["b"])
-        sigma = int(config.get("sigma", 0))
-        times = config.get("t", [4.0, 8.0, 16.0, 32.0, 64.0])
+        other = build_measure(_field(config, "b"))
+        sigma = _field(config, "sigma", int, 0)
+        times = _field(config, "t", _float_list, [4.0, 8.0, 16.0, 32.0, 64.0])
         rep = heat.decay_rate_check(initial, other, p, alpha, sigma, times, spec)
         return [{
             "check": check, "p": p, "alpha": alpha, "sigma": sigma,
@@ -214,9 +251,8 @@ def run_heat(config, spec, seed):
         }]
     if check == "small-time":
         rows = []
-        times = config["t"] if isinstance(config["t"], list) else [config["t"]]
-        for t in times:
-            rho, bound = heat.small_time_check(initial, p, float(t), alpha, spec)
+        for t in _field(config, "t", _float_list):
+            rho, bound = heat.small_time_check(initial, p, t, alpha, spec)
             rows.append({
                 "check": check, "t": t, "alpha": alpha, "p": p,
                 "distance": rho, "bound": bound,
@@ -226,10 +262,10 @@ def run_heat(config, spec, seed):
 
 
 def run_convolve(config, spec, seed):
-    a = build_measure(config["a"])
-    b = build_measure(config["b"])
-    alpha = float(config["alpha"])
-    beta = float(config["beta"])
+    a = build_measure(_field(config, "a"))
+    b = build_measure(_field(config, "b"))
+    alpha = _field(config, "alpha", float)
+    beta = _field(config, "beta", float)
     rep = convolution.convolution_bound_report(a, b, alpha, beta, spec)
     return [{
         "a": a.label, "b": b.label, "alpha": alpha, "beta": beta,
@@ -239,27 +275,30 @@ def run_convolve(config, spec, seed):
 
 
 def run_sample(config, spec, seed):
-    fam = config["family"]
-    n = int(config["n"])
-    use_seed = int(config.get("seed", seed if seed is not None else 0))
+    fam = _field(config, "family", str)
+    n = _field(config, "n", int)
+    use_seed = _field(config, "seed", int, seed if seed is not None else 0)
     if fam == "gaussian":
         s = mc_oracle.sample_gaussian(
-            float(config.get("t", 1.0)), int(config.get("d", 1)), n, use_seed
+            _field(config, "t", float, 1.0), _field(config, "d", int, 1), n, use_seed
         )
     elif fam == "cauchy":
-        s = mc_oracle.sample_isotropic_cauchy(int(config.get("d", 1)), n, use_seed)
+        s = mc_oracle.sample_isotropic_cauchy(_field(config, "d", int, 1), n, use_seed)
     elif fam == "stable":
-        s = mc_oracle.sample_stable_1d(float(config["p"]), n, use_seed)
+        s = mc_oracle.sample_stable_1d(_field(config, "p", float), n, use_seed)
     elif fam == "linnik":
         s = mc_oracle.sample_linnik_1d(
-            float(config["p"]), float(config["beta"]), n, use_seed
+            _field(config, "p", float), _field(config, "beta", float), n, use_seed
         )
     else:
         raise DomainError(f"unknown sample family {fam!r}")
     out_csv = config.get("out_csv")
     if out_csv:
-        mc_oracle.save_samples_csv(out_csv, s.points)
-    est, se = mc_oracle.mc_moment(s, float(config.get("alpha", 1.0)))
+        try:
+            mc_oracle.save_samples_csv(out_csv, s.points)
+        except OSError as exc:
+            raise DomainError(f"cannot write samples: {exc}") from exc
+    est, se = mc_oracle.mc_moment(s, _field(config, "alpha", float, 1.0))
     return [{
         "family": s.family, "n": n, "seed": use_seed, "csv": out_csv,
         "alpha": config.get("alpha", 1.0), "mc_moment": est, "stderr": se,
@@ -285,10 +324,9 @@ def _kernel_integral_quadrature(k, alpha):
     else:
         below = (-1.0) ** ((k + 1) // 2) * k * cut ** (k + 1 - alpha) / (k + 1 - alpha)
     coeffs = binomial_difference_coefficients(k)
-    tail = 2.0 * coeffs[0] * y0 ** (-alpha) / alpha
-    for m in range(1, k + 1):
-        t, _ = trig_tail_integral(m * y0, alpha, "cos")
-        tail += 2.0 * coeffs[m] * m**alpha * t
+    m = np.arange(1, k + 1)
+    t, _ = trig_tail_integral(m * y0, alpha, "cos")
+    tail = 2.0 * coeffs[0] * y0 ** (-alpha) / alpha + 2.0 * (coeffs[1:] * m**alpha) @ t
     return float(np.real(head)) + below + tail
 
 
@@ -436,6 +474,8 @@ def main(argv=None) -> int:
             config = {}
         else:
             raise DomainError(f"task {args.task!r} requires --config")
+        if not isinstance(config, dict):
+            raise DomainError("the task config must be a JSON object")
     except (OSError, json.JSONDecodeError, DomainError) as exc:
         _emit_error("config", f"{exc}", args)
         return 2
@@ -443,11 +483,15 @@ def main(argv=None) -> int:
     try:
         spec = build_quadrature(config, args.tol)
         rows = _RUNNERS[args.task](config, spec, args.seed)
-    except (DomainError, KeyError, TypeError, ValueError) as exc:
+    except DomainError as exc:
         _emit_error("config", f"{type(exc).__name__}: {exc}", args)
         return 2
     except (DivergenceSuspectedError, QuadratureError, ArithmeticError) as exc:
         _emit_error("computation", f"{type(exc).__name__}: {exc}", args)
+        return 3
+    except (KeyError, TypeError, ValueError) as exc:
+        # config problems are DomainErrors by now: anything else is a bug
+        _emit_error("internal", f"{type(exc).__name__}: {exc}", args)
         return 3
 
     report = {
@@ -457,7 +501,11 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "rows": rows,
     }
-    _emit(report, args.out, args.format)
+    try:
+        _emit(report, args.out, args.format)
+    except OSError as exc:
+        _emit_error("config", f"cannot write the report: {exc}", args)
+        return 2
     if args.task == "verify" and any(r["status"] != "pass" for r in rows):
         return 1
     return 0

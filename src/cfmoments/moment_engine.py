@@ -15,10 +15,11 @@ analytic power-law head below the origin cut (the difference vanishes like
 descent until the model's share is negligible), adaptive Gauss-Kronrod
 panels in the middle, and a tail beyond them.  The profile carries one of
 five tail strategies, each of which integrates the limit of D in closed
-form and treats the remainder its own way: a decay-envelope bound, per-atom
-integration-by-parts asymptotics, the |D| window mean for atom pairs, a
-stabilized window around a known or estimated limit, or the exact Fourier
-series of |sin| for a pair of single atoms.
+form and treats the remainder its own way: a decay-envelope bound,
+integration-by-parts asymptotics of the atoms' kernels (one bridge grid
+shared by every atom, read at each atom's lower limit), the |D| window
+mean for atom pairs, a stabilized window around a known or estimated
+limit, or the exact Fourier series of |sin| for a pair of single atoms.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .quadrature import (
     OriginModel,
     QuadratureSpec,
     adaptive_panel_integral,
+    bridged_tail,
     geometric_breakpoints,
     origin_power_model,
     oscillatory_breakpoints,
@@ -114,49 +116,50 @@ def _kernel_minus_one(kernel, y):
     """Angular-mean kernel minus one, cancellation-free for small y.
 
     The kernels are the sphere means of a plane wave: cos in d = 1, the
-    order-zero Bessel function in d = 2, the sine cardinal in d = 3.
+    order-zero Bessel function in d = 2, the sine cardinal in d = 3.  The
+    small-y series and the closed form each run only where they are used.
     """
     if kernel == "cos":
         return -2.0 * np.sin(y / 2.0) ** 2
+    if kernel not in ("j0", "sinc"):
+        raise DomainError(f"unknown kernel {kernel}")
+    out = np.empty_like(y)
+    small = y < 0.1
+    y2 = y[small] ** 2
+    large = y[~small]
     if kernel == "j0":
-        y2 = y * y
-        series = -y2 / 4.0 + y2 * y2 / 64.0 - y2 * y2 * y2 / 2304.0
-        return np.where(y < 0.1, series, _bessel_j0(np.minimum(y, 1e300)) - 1.0)
-    if kernel == "sinc":
-        y2 = y * y
-        series = -y2 / 6.0 + y2 * y2 / 120.0 - y2 * y2 * y2 / 5040.0
-        safe = np.where(y == 0.0, 1.0, y)
-        return np.where(y < 0.1, series, np.sin(safe) / safe - 1.0)
-    raise DomainError(f"unknown kernel {kernel}")
+        out[small] = -y2 / 4.0 + y2 * y2 / 64.0 - y2 * y2 * y2 / 2304.0
+        out[~small] = _bessel_j0(np.minimum(large, 1e300)) - 1.0
+    else:
+        out[small] = -y2 / 6.0 + y2 * y2 / 120.0 - y2 * y2 * y2 / 5040.0
+        out[~small] = np.sin(large) / large - 1.0
+    return out
 
 
 def _j0_tail_asymptotic(y, alpha):
     """Leading Bessel asymptotics ``sqrt(2/(pi u)) cos(u - pi/4)``; the
     residual stays below 0.2 u**-1.5 once u is past a few units."""
-    c, ce = trig_tail_integral(y, alpha + 0.5, "cos")
-    s, se = trig_tail_integral(y, alpha + 0.5, "sin")
-    val = math.sqrt(2.0 / math.pi) * math.sqrt(0.5) * (c + s)
-    err = ce + se + 0.2 * y ** (-alpha - 1.5) / (alpha + 1.5)
+    t, te = trig_tail_integral(y, alpha + 0.5)
+    val = math.sqrt(2.0 / math.pi) * math.sqrt(0.5) * (np.real(t) + np.imag(t))
+    err = 2.0 * te + 0.2 * y ** (-alpha - 1.5) / (alpha + 1.5)
     return val, err
 
 
 def _kernel_tail(kernel, y, alpha):
-    """``int_y^inf u**(-1-alpha) K(u) du`` with an error bound."""
+    """``int_y^inf u**(-1-alpha) K(u) du`` with an error bound, for every
+    lower limit in ``y`` at once."""
     if kernel == "cos":
         return trig_tail_integral(y, alpha, "cos")
     if kernel == "sinc":
         # sin(u)/u lowers the power by one
         return trig_tail_integral(y, alpha + 1.0, "sin")
     if kernel == "j0":
-        y0 = max(32.0, 4.0 * (1.0 + alpha))
-        if y >= y0:
-            return _j0_tail_asymptotic(y, alpha)
-        bp = oscillatory_breakpoints(y, y0, 1.0, per_octave=4)
-        head, herr, _, _ = adaptive_panel_integral(
-            lambda u: u ** (-1.0 - alpha) * _bessel_j0(u), bp, 1e-12, 1e-15, 1024
+        return bridged_tail(
+            lambda u: u ** (-1.0 - alpha) * _bessel_j0(u),
+            lambda x: _j0_tail_asymptotic(x, alpha),
+            y, max(32.0, 4.0 * (1.0 + alpha)),
+            per_octave=4, rel_tol=1e-12, abs_tol=1e-15, max_panels=1024,
         )
-        tail, terr = _j0_tail_asymptotic(y0, alpha)
-        return float(np.real(head)) + tail, herr + terr
     raise DomainError(f"unknown kernel {kernel}")
 
 
@@ -190,8 +193,8 @@ class EnvelopeTail:
 
 @dataclass(frozen=True)
 class AtomicTail:
-    """Per-atom integration-by-parts asymptotics of the oscillating
-    kernels of a finitely supported measure."""
+    """Integration-by-parts asymptotics of the oscillating kernels of a
+    finitely supported measure, bridged for all atoms on one shared grid."""
 
     limit: float
     coeffs: np.ndarray
@@ -203,14 +206,12 @@ class AtomicTail:
         return 0.0
 
     def close(self, profile, alpha, R):
-        val = 0.0
-        err = 0.0
-        for m in range(1, self.coeffs.size):
-            for rho, w in zip(self.radii, self.weights):
-                t, te = _kernel_tail(self.kernel, float(m * R * rho), alpha)
-                val += self.coeffs[m] * (m * rho) ** alpha * w * t
-                err += abs(self.coeffs[m]) * (m * rho) ** alpha * w * te
-        return self.limit * R ** (-alpha) / alpha, val, err
+        ms = np.arange(1, self.coeffs.size)[:, None]
+        t, te = _kernel_tail(self.kernel, ms * R * self.radii, alpha)
+        scale = (ms * self.radii) ** alpha * self.weights
+        val = self.coeffs[1:] @ (scale * t).sum(axis=1)
+        err = np.abs(self.coeffs[1:]) @ (scale * te).sum(axis=1)
+        return self.limit * R ** (-alpha) / alpha, float(val), float(err)
 
 
 @dataclass(frozen=True)
@@ -263,14 +264,11 @@ class SinSeriesTail:
 
     def close(self, profile, alpha, R):
         c = self.c
-        n_terms = 64
-        val = (4.0 / math.pi) * R ** (-alpha) / alpha
-        err = 0.0
-        for n in range(1, n_terms + 1):
-            t, te = trig_tail_integral(n * c * R, alpha)
-            val -= (8.0 / math.pi) * (n * c) ** alpha * t / (4.0 * n**2 - 1.0)
-            err += (8.0 / math.pi) * (n * c) ** alpha * te / (4.0 * n**2 - 1.0)
-        err += (16.0 / math.pi) / max(c * R, 1e-300) * R ** (-alpha) / (8.0 * n_terms**2)
+        n = np.arange(1, 65)
+        t, te = trig_tail_integral(n * c * R, alpha)
+        w = (8.0 / math.pi) * (n * c) ** alpha / (4.0 * n**2 - 1.0)
+        val = (4.0 / math.pi) * R ** (-alpha) / alpha - w @ t
+        err = w @ te + (16.0 / math.pi) / max(c * R, 1e-300) * R ** (-alpha) / (8.0 * n.size**2)
         return 0.0, self.amp * val, self.amp * err
 
 

@@ -10,7 +10,8 @@ the pieces the engine composes:
   analytically from a fitted local exponent,
 * breakpoint planners for geometric and oscillation-resolving panels,
 * the product rule over the unit sphere that reduces non-radial integrands,
-* the hybrid evaluator for oscillatory power tails.
+* the hybrid evaluator for oscillatory power tails, which closes the tails
+  of many lower limits from one shared bridge grid.
 
 Panels are summed in breakpoint order, so results do not depend on the
 refinement schedule.
@@ -30,6 +31,7 @@ __all__ = [
     "QuadratureSpec",
     "OriginModel",
     "adaptive_panel_integral",
+    "bridged_tail",
     "fixed_panel_nodes",
     "origin_power_model",
     "geometric_breakpoints",
@@ -94,6 +96,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise DomainError("quadrature tolerances must be positive")
+        if not all(isinstance(n, (int, np.integer)) for n in (self.max_panels, self.sphere_order)):
+            raise DomainError("max_panels and sphere_order must be integers")
         if self.max_panels < 16:
             raise DomainError("max_panels must be at least 16")
         if self.tail_mode not in ("auto", "analytic-bound", "oscillatory-ibp"):
@@ -118,20 +122,22 @@ def _gk_batch(f, lo, hi):
     mean = ik / (hi - lo + 1e-300)
     resasc = (np.abs(vals - mean[:, None]) * _WK[None, :]).sum(axis=1) * np.abs(half)
     with np.errstate(divide="ignore", invalid="ignore"):
+        # clip before the power: a panel one ulp wide can have resasc = 0
+        # and a rounding-level diff, whose ratio to 1e-300 overflows **1.5
         sharp = resasc * np.minimum(
-            1.0, (200.0 * diff / np.maximum(resasc, 1e-300)) ** 1.5
-        )
+            1.0, 200.0 * diff / np.maximum(resasc, 1e-300)
+        ) ** 1.5
     err = np.where(resasc > 0.0, sharp, diff)
     return ik, err
 
 
-def adaptive_panel_integral(f, breakpoints, rel_tol, abs_tol, max_panels):
-    """Adaptively integrate ``f`` over consecutive ``breakpoints`` panels.
+def _refined_panels(f, breakpoints, rel_tol, abs_tol, max_panels):
+    """Bisection refinement of the ``breakpoints`` panels of ``f``.
 
-    ``f`` must accept a flat numpy array and return values of matching
-    shape (complex allowed).  The worst panels are bisected in batches
-    until the summed error estimate meets the tolerance or the panel
-    budget runs out.  Returns ``(value, error, n_panels, converged)``.
+    The worst panels are bisected in batches until the summed error
+    estimate meets the tolerance or the panel budget runs out.  Returns the
+    final panels' ``(lo, values, errors)`` in breakpoint order; every
+    distinct breakpoint stays a panel start.
     """
     bp = np.unique(np.asarray(breakpoints, dtype=float))
     if bp.size < 2:
@@ -168,8 +174,20 @@ def adaptive_panel_integral(f, breakpoints, rel_tol, abs_tol, max_panels):
         vals = np.concatenate([vals, new_vals[m:]])
         errs = np.concatenate([errs, new_errs[m:]])
     order = np.argsort(lo, kind="stable")
-    total = vals[order].sum()
-    err_total = float(errs[order].sum())
+    return lo[order], vals[order], errs[order]
+
+
+def adaptive_panel_integral(f, breakpoints, rel_tol, abs_tol, max_panels):
+    """Adaptively integrate ``f`` over consecutive ``breakpoints`` panels.
+
+    ``f`` must accept a flat numpy array and return values of matching
+    shape (complex allowed).  The worst panels are bisected in batches
+    until the summed error estimate meets the tolerance or the panel
+    budget runs out.  Returns ``(value, error, n_panels, converged)``.
+    """
+    lo, vals, errs = _refined_panels(f, breakpoints, rel_tol, abs_tol, max_panels)
+    total = vals.sum()
+    err_total = float(errs.sum())
     converged = err_total <= max(abs_tol, rel_tol * abs(total)) * (1.0 + 1e-9)
     return total, err_total, int(lo.size), bool(converged)
 
@@ -311,27 +329,58 @@ def origin_power_model(
     return OriginModel(contribution, float(error), slope, anchor, a)
 
 
-def trig_tail_integral(y: float, alpha: float, kind: str = "exp", bridge_to: float = 32.0):
+def bridged_tail(f, series, y, y0, *, per_octave, rel_tol, abs_tol, max_panels):
+    """``int_y^inf f(u) du`` for every lower limit in the array ``y``.
+
+    ``series(x)`` returns the asymptotic (value, bound) arrays of the tail
+    from x >= ``y0`` on.  Limits at or above ``y0`` take the series
+    directly.  The limits below it share one bridge integral of ``f`` over
+    [min y, y0]: the oscillation plan merged with the limits themselves,
+    refined once, with ``max_panels`` of headroom beyond the merged panels.
+    Each limit reads its value and error from the reverse cumulative sums
+    of the panels above it and adds the series at ``y0``.  A scalar ``y``
+    returns scalars.
+    """
+    y = np.asarray(y, dtype=float)
+    flat = y.ravel()
+    if np.any(flat <= 0.0):
+        raise DomainError("tail start must be positive")
+    # every limit below y0 shares the series at y0: evaluate each value once
+    starts, inverse = np.unique(np.maximum(flat, y0), return_inverse=True)
+    val, err = series(starts)
+    val, err = val[inverse], err[inverse]
+    below = flat < y0
+    if below.any():
+        lows = flat[below]
+        plan = oscillatory_breakpoints(lows.min(), y0, 1.0, per_octave=per_octave)
+        lo, vals, errs = _refined_panels(
+            f, np.concatenate([plan, lows]), rel_tol, abs_tol, max_panels + lows.size
+        )
+        at = np.searchsorted(lo, lows)
+        val[below] += np.cumsum(vals[::-1])[::-1][at]
+        err[below] += np.cumsum(errs[::-1])[::-1][at]
+    if y.ndim == 0:
+        return val[0], float(err[0])
+    return val.reshape(y.shape), err.reshape(y.shape)
+
+
+def trig_tail_integral(y, alpha: float, kind: str = "exp", bridge_to: float = 32.0):
     """``int_y^inf u**(-1-alpha) exp(iu) du`` and its cos/sin parts.
 
-    Above ``bridge_to`` the integration-by-parts asymptotics apply directly;
-    below, the gap up to the asymptotic regime is closed by oscillation-aware
-    panel quadrature.  Returns ``(value, error_bound)``.
+    ``y`` is a lower limit or an array of them.  Above ``bridge_to`` the
+    integration-by-parts asymptotics apply directly; below, the gap up to
+    the asymptotic regime is closed by one oscillation-aware panel
+    quadrature shared by all limits (:func:`bridged_tail`).  Returns
+    ``(value, error_bound)``, scalars for a scalar ``y``.
     """
-    if y <= 0:
-        raise DomainError("tail start must be positive")
-    y0 = max(bridge_to, 4.0 * (1.0 + alpha))
-    if y >= y0:
-        val, err = trig_power_tail(y, alpha)
-    else:
-        bp = oscillatory_breakpoints(y, y0, 1.0, per_octave=6)
-        head, herr, _, _ = adaptive_panel_integral(
-            lambda u: u ** (-1.0 - alpha) * np.exp(1j * u), bp, 1e-13, 1e-16, 1024
-        )
-        tail, terr = trig_power_tail(y0, alpha)
-        val, err = head + tail, herr + terr
+    val, err = bridged_tail(
+        lambda u: u ** (-1.0 - alpha) * np.exp(1j * u),
+        lambda x: trig_power_tail(x, alpha),
+        y, max(bridge_to, 4.0 * (1.0 + alpha)),
+        per_octave=6, rel_tol=1e-13, abs_tol=1e-16, max_panels=1024,
+    )
     if kind == "cos":
-        return float(np.real(val)), err
+        return np.real(val), err
     if kind == "sin":
-        return float(np.imag(val)), err
+        return np.imag(val), err
     return val, err

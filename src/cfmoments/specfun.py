@@ -1,6 +1,6 @@
 """Gamma-function machinery and the closed-form constants of the moment formulas.
 
-Everything in here is a pure function of its scalar arguments.  The module
+Everything in here is a pure function of its arguments.  The module
 hosts the gamma function (scipy's, behind a pole check), the alternating
 power sum that appears in the normalizing constants, the moment constant
 and its reciprocal, the closed form of the oscillatory kernel integral,
@@ -11,7 +11,6 @@ oscillatory tail handlers.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -225,32 +224,41 @@ def cosine_difference_kernel_bound(k: int, r):
     return np.minimum(2.0 ** (k + 1), 2.0 * r**k)
 
 
-def trig_power_tail(y: float, alpha: float, tol: float = 1e-16):
+def trig_power_tail(y, alpha: float, tol: float = 1e-16):
     """Asymptotic value of ``int_y^inf u**(-1-alpha) exp(iu) du``.
 
     Repeated integration by parts unrolls the integral into
     ``exp(iy) sum_j c_j y**(-nu-j)`` with nu = 1 + alpha, c_0 = i and
     ``c_{j+1} = -i (nu+j) c_j``.  The remainder after the j-th term is
-    bounded by that term's magnitude, so the series is summed while terms
-    decrease and cut at the smallest one.  Returns ``(value, bound)``.
-    Useful once ``y >~ nu``; callers bridge smaller y by quadrature.
+    bounded by that term's magnitude, so each element's series is summed
+    while its terms decrease and cut at the smallest one (or once a term
+    falls below ``tol`` relative to the sum).  ``y`` is a scalar or an
+    array; returns ``(value, bound)`` of the same shape.  Useful once
+    ``y >~ nu``; callers bridge smaller y by quadrature.
     """
-    if y <= 0.0:
+    y_arr = np.asarray(y, dtype=float)
+    flat = y_arr.ravel()
+    if np.any(flat <= 0.0):
         raise DomainError("trig_power_tail requires y > 0")
     nu = 1.0 + alpha
-    acc = 0.0 + 0.0j
+    acc = np.zeros(flat.size, dtype=complex)
+    prev_mag = np.full(flat.size, math.inf)
+    bound = flat ** (1.0 - nu) / max(nu - 1.0, 1e-300)
+    live = np.arange(flat.size)
     coeff = 1j
-    prev_mag = math.inf
-    bound = y ** (1.0 - nu) / max(nu - 1.0, 1e-300)
     for j in range(200):
-        term = coeff * y ** (-nu - j)
-        mag = abs(term)
-        if mag >= prev_mag:
+        if live.size == 0:
             break
-        acc += term
-        bound = mag
-        prev_mag = mag
-        if mag < tol * max(abs(acc), 1e-300):
-            break
+        term = coeff * flat[live] ** (-nu - j)
+        mag = np.abs(term)
+        falling = mag < prev_mag[live]
+        live, term, mag = live[falling], term[falling], mag[falling]
+        acc[live] += term
+        bound[live] = mag
+        prev_mag[live] = mag
+        live = live[mag >= tol * np.maximum(np.abs(acc[live]), 1e-300)]
         coeff *= -1j * (nu + j)
-    return cmath.exp(1j * y) * acc, bound
+    value = np.exp(1j * flat) * acc
+    if y_arr.ndim == 0:
+        return complex(value[0]), float(bound[0])
+    return value.reshape(y_arr.shape), bound.reshape(y_arr.shape)

@@ -308,3 +308,53 @@ class TestMeasureBuilder:
     def test_pathological(self):
         phi = cli.build_measure({"family": "pathological", "alpha": 1.0, "terms": 4})
         assert phi.atoms.size == 4
+
+
+class TestExitCodes:
+    def test_missing_alpha_is_config_error(self, tmp_path):
+        cfg = write_config(tmp_path, {"measure": {"family": "gaussian", "t": 1, "d": 1}})
+        proc = run_cli(["moment", "--config", cfg])
+        assert proc.returncode == 2
+        err = json.loads(proc.stdout)["error"]
+        assert err["type"] == "config" and "alpha" in err["message"]
+
+    def test_unknown_quadrature_key_is_config_error(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "measure": {"family": "gaussian", "t": 1, "d": 1},
+            "alpha": 0.5,
+            "quadrature": {"rel_tol": 1e-8, "bogus": 3},
+        })
+        proc = run_cli(["moment", "--config", cfg])
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["error"]["type"] == "config"
+
+    @pytest.mark.parametrize("bad", [{"alpha": "half"}, {"alpha": 0.5, "k": [1]},
+                                     {"alpha": 0.5, "quadrature": {"rel_tol": "x"}},
+                                     {"alpha": 0.5, "quadrature": {"max_panels": 1e3}}])
+    def test_malformed_fields_are_config_errors(self, tmp_path, capsys, bad):
+        cfg = write_config(tmp_path, {"measure": {"family": "gaussian", "t": 1, "d": 1}, **bad})
+        assert cli.main(["moment", "--config", cfg]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "config"
+
+    def test_internal_key_error_is_not_a_config_error(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("internal lookup")
+
+        monkeypatch.setattr(cli, "absolute_moment", broken)
+        cfg = write_config(tmp_path, {
+            "measure": {"family": "gaussian", "t": 1, "d": 1},
+            "alpha": 0.5,
+        })
+        assert cli.main(["moment", "--config", cfg]) == 3
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] != "config" and "KeyError" in err["message"]
+
+    def test_unwritable_outputs_are_config_errors(self, tmp_path, capsys):
+        missing = tmp_path / "no-such-dir"
+        cfg = write_config(tmp_path, {"family": "gaussian", "n": 10,
+                                      "out_csv": str(missing / "s.csv")})
+        assert cli.main(["sample", "--config", cfg]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "config"
+        cfg = write_config(tmp_path, {"family": "gaussian", "n": 10}, name="ok.json")
+        assert cli.main(["sample", "--config", cfg, "--out", str(missing / "r.json")]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "config"

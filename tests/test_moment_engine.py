@@ -1,6 +1,7 @@
 """The difference-integral moment engine against its closed-form oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -343,3 +344,112 @@ class TestFulldimIntegral:
         vals = np.sqrt((pts**2).sum(1)) ** 0.5
         est, se = float(vals.mean()), float(vals.std() / math.sqrt(len(vals)))
         assert abs(res.value - est) < 3.0 * se
+
+
+class TestBatchedAtomicTail:
+    Y = np.concatenate([
+        np.geomspace(1e-3, 200.0, 61),
+        [5.0, 5.0, np.nextafter(5.0, 6.0), 31.999999, 32.0, 32.0000001, 40.0, 40.0],
+    ])
+    # size of the kernel times u**(-1-alpha) at the limit
+    AMPLITUDE = {
+        "cos": lambda y: np.ones_like(y),
+        "sinc": lambda y: 1.0 / y,
+        "j0": lambda y: np.minimum(1.0, np.sqrt(2.0 / (np.pi * y))),
+    }
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.5, 2.5, 4.5])
+    @pytest.mark.parametrize("kernel", ["cos", "j0", "sinc"])
+    def test_kernel_tail_array_matches_scalar_calls(self, kernel, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            val, err = me._kernel_tail(kernel, self.Y, alpha)
+            scalar = [me._kernel_tail(kernel, float(y), alpha) for y in self.Y]
+        ref = np.array([v for v, _ in scalar])
+        scale = np.maximum(np.abs(ref), self.Y ** (-1.0 - alpha) * self.AMPLITUDE[kernel](self.Y))
+        assert val.shape == err.shape == self.Y.shape
+        assert np.all(np.abs(val - ref) <= 1e-14 * scale)
+        assert np.all(err > 0.0)
+
+    def test_scalar_in_scalar_out(self):
+        for kernel in ("cos", "j0", "sinc"):
+            val, err = me._kernel_tail(kernel, 3.0, 1.5)
+            assert np.ndim(val) == 0 and np.ndim(err) == 0
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.5])
+    def test_close_matches_per_atom_sum(self, d, alpha):
+        rng = np.random.default_rng(d)
+        pts = rng.normal(size=(50, d)) * np.exp(rng.normal(size=(50, 1)))
+        spec = QuadratureSpec()
+        k, _ = me.select_difference_order(alpha)
+        profile = me.difference_profile(cf.make_empirical(pts), k=k, spec=spec,
+                                        part="real", magnitude=False)
+        tail = profile.tail
+        assert isinstance(tail, me.AtomicTail)
+        for R in (0.5, 8.0, 64.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                _, val, err = tail.close(profile, alpha, R)
+            ref = ref_err = mag = 0.0
+            for m in range(1, k + 1):
+                for rho, w in zip(tail.radii, tail.weights):
+                    t, te = me._kernel_tail(tail.kernel, float(m * R * rho), alpha)
+                    ref += tail.coeffs[m] * (m * rho) ** alpha * w * t
+                    ref_err += abs(tail.coeffs[m]) * (m * rho) ** alpha * w * te
+                    mag += abs(tail.coeffs[m] * (m * rho) ** alpha * w * t)
+            # the atoms' tails cancel, so the gap is measured against the sum
+            # of the terms' magnitudes
+            assert abs(val - ref) <= 1e-13 * mag
+            assert abs(val - ref) <= err
+            # the shared grid's panels are no wider than a lone limit's, so
+            # their Kronrod estimates may come out slightly smaller
+            assert err >= 0.99 * ref_err
+
+    def test_close_without_atoms_off_the_origin(self):
+        phi = cf.make_empirical(np.zeros((3, 2)))
+        spec = QuadratureSpec()
+        profile = me.difference_profile(phi, k=1, spec=spec, part="real", magnitude=False)
+        const, val, err = profile.tail.close(profile, 0.5, 8.0)
+        assert const == 0.0 and val == 0.0 and err == 0.0
+
+    def test_sin_series_tail_matches_per_term_sum(self):
+        from cfmoments.quadrature import trig_tail_integral
+
+        tail = me.SinSeriesTail(1.3)
+        alpha, R = 0.5, 8.0
+        _, val, err = tail.close(None, alpha, R)
+        ref = (4.0 / math.pi) * R ** (-alpha) / alpha
+        for n in range(1, 65):
+            t, _ = trig_tail_integral(n * 1.3 * R, alpha)
+            ref -= (8.0 / math.pi) * (n * 1.3) ** alpha * t / (4.0 * n**2 - 1.0)
+        assert abs(val - ref) <= 1e-13 * abs(ref)
+        assert err > 0.0
+
+
+class TestKernelMinusOne:
+    @pytest.mark.parametrize("kernel", ["cos", "j0", "sinc"])
+    def test_split_branches_bit_identical(self, kernel):
+        from scipy.special import j0
+
+        rng = np.random.default_rng(5)
+        y = np.concatenate([[0.0, 0.0999999, 0.1], rng.exponential(1.0, 500),
+                            rng.exponential(1e-2, 500), [1e6, 1e300]]).reshape(5, 3, 67)
+        # the reference evaluates both branches everywhere, as the kernel
+        # once did; its unused series overflows at y = 1e300
+        with np.errstate(over="ignore", invalid="ignore"):
+            y2 = y * y
+            if kernel == "cos":
+                ref = -2.0 * np.sin(y / 2.0) ** 2
+            elif kernel == "j0":
+                series = -y2 / 4.0 + y2 * y2 / 64.0 - y2 * y2 * y2 / 2304.0
+                ref = np.where(y < 0.1, series, j0(np.minimum(y, 1e300)) - 1.0)
+            else:
+                series = -y2 / 6.0 + y2 * y2 / 120.0 - y2 * y2 * y2 / 5040.0
+                safe = np.where(y == 0.0, 1.0, y)
+                ref = np.where(y < 0.1, series, np.sin(safe) / safe - 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = me._kernel_minus_one(kernel, y)
+        assert out.shape == y.shape
+        assert np.array_equal(out, ref)

@@ -1,6 +1,7 @@
 """Gamma machinery, alternating sums, and the closed-form constants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -202,3 +203,33 @@ class TestTrigPowerTail:
         os_, _ = quad(lambda u: u ** (-1 - alpha), y, np.inf, weight="sin", wvar=1.0)
         assert got.real == pytest.approx(oc, abs=5e-10)
         assert got.imag == pytest.approx(os_, abs=5e-10)
+
+
+class TestTrigPowerTailArray:
+    Y = np.concatenate([
+        np.geomspace(1e-3, 200.0, 61),
+        [5.0, 5.0, np.nextafter(5.0, 6.0), 31.999999, 32.0, 32.0000001, 40.0, 40.0],
+    ])
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.5, 2.5])
+    def test_array_matches_scalar_calls(self, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            val, bound = sf.trig_power_tail(self.Y, alpha)
+            scalar = [sf.trig_power_tail(float(y), alpha) for y in self.Y]
+        ref = np.array([v for v, _ in scalar])
+        ref_bound = np.array([b for _, b in scalar])
+        assert val.shape == bound.shape == self.Y.shape
+        np.testing.assert_allclose(val, ref, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(bound, ref_bound, rtol=1e-14, atol=0.0)
+
+    def test_scalar_in_scalar_out(self):
+        val, bound = sf.trig_power_tail(40.0, 0.5)
+        assert isinstance(val, complex) and isinstance(bound, float)
+
+    def test_shape_and_domain(self):
+        val, bound = sf.trig_power_tail(np.full((2, 3), 50.0), 1.5)
+        assert val.shape == bound.shape == (2, 3)
+        assert sf.trig_power_tail(np.array([]), 1.5)[0].size == 0
+        with pytest.raises(DomainError):
+            sf.trig_power_tail(np.array([40.0, 0.0]), 0.5)
