@@ -98,12 +98,6 @@ class CharFn:
         vals = 1.0 + np.asarray(self.minus_one(pts))
         return complex(vals[0]) if scalar else vals
 
-    def evaluate_minus_one(self, xi):
-        """phi(xi) - 1 without cancellation near the origin."""
-        pts, scalar = self._points(xi)
-        vals = np.asarray(self.minus_one(pts))
-        return complex(vals[0]) if scalar else vals
-
     def profile_minus_one(self, r):
         """Radial profile minus one; defined only for radial transforms."""
         if not self.is_radial or self.radial_minus_one is None:
@@ -112,12 +106,6 @@ class CharFn:
 
     def profile(self, r):
         return 1.0 + np.asarray(self.profile_minus_one(r))
-
-    @property
-    def max_atom_radius(self) -> float:
-        if self.atoms is None:
-            return 0.0
-        return float(self.atoms.radii().max())
 
 
 def _radial_charfn(dim, profile_m1, label, *, envelope=None, tail_limit=0.0,

@@ -218,6 +218,7 @@ def run_membership(config, spec, seed):
         "integral_value": rep.integral_value,
         "origin_slope": rep.origin_slope,
         "tail_contribution": rep.tail_contribution,
+        "reason": rep.details.get("reason"),
     }
     row.update(_constants_row(k, alpha, phi.dim))
     return [row]

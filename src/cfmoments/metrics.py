@@ -9,9 +9,10 @@ and membership take their integrand from the moment engine's
 taken inside the angular mean, and the derivative seminorm hands its own
 evaluator to the same :class:`~cfmoments.moment_engine.DifferenceProfile`;
 all of them share the engine's head, panels and tail strategies.  The
-membership classifier combines three signals: the near-origin growth
-exponent, stabilization of the truncated integral under increasing
-cutoffs, and sign consistency of the implied moment.
+membership classifier combines three signals, all read from the engine's
+own pass and its diagnostics: the exponent of the origin head model,
+stabilization of the last octaves the mid panels added before the tail,
+and sign consistency of the implied moment.
 """
 
 from __future__ import annotations
@@ -29,12 +30,7 @@ from .moment_engine import (
     absolute_moment,
     difference_profile,
 )
-from .quadrature import (
-    QuadratureSpec,
-    adaptive_panel_integral,
-    oscillatory_breakpoints,
-    sphere_rule,
-)
+from .quadrature import QuadratureSpec, sphere_rule
 from .specfun import (
     binomial_difference_coefficients,
     difference_integral_constant,
@@ -98,7 +94,7 @@ class MembershipReport:
 
     classification: str            # finite | divergence-suspected
     integral_value: float | None
-    origin_slope: float | None
+    origin_slope: float | None     # exponent of the engine's origin head model
     tail_contribution: float | None
     details: dict = field(default_factory=dict)
 
@@ -277,64 +273,43 @@ def membership(phi: CharFn, alpha: float, k: int,
                spec: QuadratureSpec | None = None) -> MembershipReport:
     """Classify whether the difference integral marks a finite alpha-moment.
 
-    Three diagnostics: a least-squares origin exponent over the innermost
-    panels (a slope at most alpha means the head diverges), stabilization
-    of the truncated integral under doubling cutoffs, and sign consistency
-    of the moment implied by the signed formula.  Numeric classification is
-    inherently heuristic; the verdict says "suspected", not "proved".
+    All three signals come from the engine's one pass over the magnitude
+    profile: the exponent of its origin head model (a slope at most
+    ``alpha + 0.05`` means the head diverges), stabilization of the last two
+    octaves its mid panels added before the tail (empty when the tail bound
+    or the panel budget stopped the extension earlier), and sign
+    consistency of the moment implied by the signed formula.  Numeric
+    classification is inherently heuristic; the verdict says "suspected",
+    not "proved".
     """
     spec = spec or QuadratureSpec()
     if alpha <= 0:
         raise DomainError("alpha must be positive")
     profile = difference_profile(phi, k=k, spec=spec,
                                  part="real" if k % 2 == 1 else "complex", magnitude=True)
-    details = {}
-
-    # least-squares origin exponent over the innermost dyadic panels
-    rs = profile.origin_cut(spec) * 0.5 ** np.arange(8)
-    mags = np.asarray(profile.D(rs))
-    slope = None
-    if np.all(mags > 0.0):
-        coef = np.polyfit(np.log(rs), np.log(mags), 1)
-        slope = float(coef[0])
-    details["slope_margin"] = 0.05
-    if slope is not None and slope <= alpha + 0.05:
-        return MembershipReport(
-            "divergence-suspected", None, slope, None,
-            {**details, "reason": "origin exponent at or below alpha"},
-        )
-
+    details = {"slope_margin": 0.05}
     try:
         value, error, diag = profile.integrate(alpha, spec, slope_margin=0.05)
     except DivergenceSuspectedError as exc:
         return MembershipReport(
-            "divergence-suspected", None, slope, None,
+            "divergence-suspected", None, exc.slope, None,
             {**details, "reason": str(exc)},
         )
+    slope = diag["origin_slope"]
     if not np.isfinite(error):
         return MembershipReport(
             "divergence-suspected", None, slope, None,
             {**details, "reason": "difference integral did not resolve numerically"},
         )
     integral_value = profile.angular * float(np.real(value))
+    tail_contribution = profile.angular * diag["tail_value"]
 
-    # stabilization under doubling cutoffs
-    R = diag["tail_start"]
-
-    def truncated_increment(lo, hi):
-        bp = oscillatory_breakpoints(lo, hi, profile.freq, per_octave=3)
-        v, _, _, _ = adaptive_panel_integral(
-            profile.integrand(alpha), bp, 1e-6, spec.abs_tol, spec.max_panels
-        )
-        return float(np.real(v))
-
-    inc1 = truncated_increment(R, 2.0 * R)
-    inc2 = truncated_increment(2.0 * R, 4.0 * R)
-    details["cutoff_increments"] = [inc1, inc2]
-    if inc2 > 1.05 * inc1 + spec.abs_tol:
+    # stabilization over the engine's last two octaves before the tail
+    increments = diag["octave_increments"]
+    details["cutoff_increments"] = increments
+    if increments and increments[1] > 1.05 * increments[0] + spec.abs_tol:
         return MembershipReport(
-            "divergence-suspected", None, slope,
-            profile.angular * diag["tail_value"],
+            "divergence-suspected", None, slope, tail_contribution,
             {**details, "reason": "truncated integral keeps growing"},
         )
 
@@ -348,17 +323,10 @@ def membership(phi: CharFn, alpha: float, k: int,
         )
     except DivergenceSuspectedError as exc:
         return MembershipReport(
-            "divergence-suspected", integral_value, slope,
-            profile.angular * diag["tail_value"],
+            "divergence-suspected", integral_value, slope, tail_contribution,
             {**details, "reason": f"signed formula inconsistent: {exc}"},
         )
-    return MembershipReport(
-        "finite",
-        integral_value,
-        slope,
-        profile.angular * diag["tail_value"],
-        details,
-    )
+    return MembershipReport("finite", integral_value, slope, tail_contribution, details)
 
 
 def derivative_seminorm(phi: CharFn, sigma, gamma: float,

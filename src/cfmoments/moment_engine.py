@@ -414,17 +414,6 @@ def _atomic_terms(phi: CharFn, coeffs):
     return evaluate, freq, tail
 
 
-def _check_tail_mode(spec: QuadratureSpec, phi: CharFn):
-    if spec.tail_mode == "analytic-bound" and phi.envelope is None:
-        raise DomainError(
-            f"tail_mode 'analytic-bound' needs a decay envelope; {phi.label} has none"
-        )
-    if spec.tail_mode == "oscillatory-ibp" and phi.atoms is None:
-        raise DomainError(
-            f"tail_mode 'oscillatory-ibp' needs an atomic measure; {phi.label} has none"
-        )
-
-
 def _single_atom_gap(factors, k):
     """Distance c of two unit atoms in d = 1 (one factor: the other sits at
     the origin), where ``|Delta(phi - psi)| = 2|sin(c r / 2)|`` for k = 1."""
@@ -478,9 +467,7 @@ def difference_profile(phi: CharFn, psi: CharFn | None = None, *, k: int,
     d = phi.dim
     if psi is not None and psi.dim != d:
         raise DomainError("dimension mismatch")
-    _check_tail_mode(spec, phi)
-    if (not magnitude and psi is None and phi.atoms is not None
-            and spec.tail_mode != "analytic-bound"):
+    if not magnitude and psi is None and phi.atoms is not None:
         evaluate, freq, tail = _atomic_terms(phi, coeffs)
         return DifferenceProfile(evaluate, sphere_area(d), float(freq), magnitude=False, tail=tail)
     if phi.is_radial and (psi is None or psi.is_radial):
@@ -583,10 +570,10 @@ def _difference_integral(profile: DifferenceProfile, alpha: float,
     tail = profile.tail
     R = r_mid
     scale = abs(head_val) + abs(mid_val) + spec.abs_tol
-    extensions = 0
+    increments = []
     while True:
         tol = max(spec.abs_tol, spec.rel_tol * scale) / 4.0
-        if tail.bound(profile, alpha, R) <= tol or extensions >= 64 or n_panels >= spec.max_panels:
+        if tail.bound(profile, alpha, R) <= tol or len(increments) >= 64 or n_panels >= spec.max_panels:
             break
         if profile.freq > 0.0 and R * profile.freq > 3.0 * spec.max_panels:
             break  # resolving further octaves would blow the panel budget
@@ -599,7 +586,7 @@ def _difference_integral(profile: DifferenceProfile, alpha: float,
         n_panels += chunk_panels
         R *= 2.0
         scale = abs(head_val) + abs(mid_val) + spec.abs_tol
-        extensions += 1
+        increments.append(float(np.real(chunk)))
 
     const_tail, rem_val, rem_err = tail.close(profile, alpha, R)
     value = head_val + mid_val + const_tail + rem_val
@@ -613,6 +600,8 @@ def _difference_integral(profile: DifferenceProfile, alpha: float,
         "tail_value": const_tail + rem_val,
         "tail_error": rem_err,
         "panels_converged": converged,
+        # the last two octaves before R, [R/4, R/2] and [R/2, R]
+        "octave_increments": increments[-2:] if len(increments) >= 2 else [],
     }
     return value, error, diagnostics
 

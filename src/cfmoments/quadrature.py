@@ -78,17 +78,13 @@ _WG_FULL[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])  # Gauss nodes at odd s
 class QuadratureSpec:
     """Tolerances and budgets for the difference integrals.
 
-    ``tail_mode`` selects how the unbounded tail is treated: an analytic
-    envelope bound for decaying transforms, an integration-by-parts scheme
-    for oscillatory atomic transforms, or automatic selection.  ``r_split``
-    separates the near-origin panel plan from the outer one and
+    ``r_split`` separates the near-origin panel plan from the outer one and
     ``origin_cut`` is the matching point of the analytic origin model.
     """
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     max_panels: int = 4096
-    tail_mode: str = "auto"  # auto | analytic-bound | oscillatory-ibp
     sphere_order: int = 64
     r_split: float = 1.0
     origin_cut: float = 1e-4
@@ -100,8 +96,6 @@ class QuadratureSpec:
             raise DomainError("max_panels and sphere_order must be integers")
         if self.max_panels < 16:
             raise DomainError("max_panels must be at least 16")
-        if self.tail_mode not in ("auto", "analytic-bound", "oscillatory-ibp"):
-            raise DomainError(f"unknown tail_mode {self.tail_mode!r}")
         if self.sphere_order < 2:
             raise DomainError("sphere_order must be at least 2")
         if self.r_split <= 0 or self.origin_cut <= 0:

@@ -149,12 +149,14 @@ class TestMembershipTask:
         })
         row = json.loads(run_cli(["membership", "--config", cfg]).stdout)["rows"][0]
         assert row["classification"] == "finite"
+        assert row["reason"] is None
         cfg = write_config(tmp_path, {
             "measure": {"family": "stable", "p": 1, "t": 1, "d": 1},
             "alpha": 1.5, "k": 2,
         }, "c2.json")
         row = json.loads(run_cli(["membership", "--config", cfg]).stdout)["rows"][0]
         assert row["classification"] == "divergence-suspected"
+        assert "inconsisten" in row["reason"]
 
 
 class TestHeatTask:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cfmoments import charfn as cf
+from cfmoments import closed_forms as cfo
 from cfmoments import metrics as mt
 from cfmoments.errors import DivergenceSuspectedError, DomainError
 from cfmoments.specfun import gamma
@@ -258,6 +259,20 @@ class TestMembership:
         rep = mt.membership(cf.make_gaussian(0.7132206794326172, 1), 2.65015587847253, 3)
         assert rep.classification == "finite"
         assert rep.origin_slope == pytest.approx(4.0, abs=1e-3)
+
+    def test_linnik_high_order_finite(self):
+        # the k = 5 magnitude reaches the cancellation floor inside the
+        # origin cut; that floor is not an origin exponent
+        rep = mt.membership(cf.make_linnik(2.0, 2.5, 1), 3.5, 5)
+        assert rep.classification == "finite"
+        assert rep.details["implied_moment"] == pytest.approx(
+            cfo.linnik_moment(2.0, 2.5, 3.5, 1), rel=1e-6
+        )
+
+    def test_gaussian_k7_finite(self):
+        # only the verdict: the k = 7 head itself still sits at the noise floor
+        rep = mt.membership(cf.make_gaussian(0.7, 1), 6.5, 7)
+        assert rep.classification == "finite"
 
     def test_lacunary_growth_beyond_order(self):
         vals = []

@@ -10,7 +10,11 @@ from cfmoments import charfn as cf
 from cfmoments import closed_forms as cfo
 from cfmoments import moment_engine as me
 from cfmoments.errors import DivergenceSuspectedError, DomainError
-from cfmoments.quadrature import QuadratureSpec
+from cfmoments.quadrature import (
+    QuadratureSpec,
+    adaptive_panel_integral,
+    oscillatory_breakpoints,
+)
 from cfmoments.specfun import gamma, power_difference_sum
 
 
@@ -85,23 +89,6 @@ class TestAbsoluteMoment:
         pm = cf.make_point_mass([1.0, 0.0, 0.0, 0.0])
         with pytest.raises(DomainError):
             me.absolute_moment(pm, 0.5)
-
-    def test_tail_mode_requirements(self):
-        spec_env = QuadratureSpec(tail_mode="analytic-bound")
-        spec_osc = QuadratureSpec(tail_mode="oscillatory-ibp")
-        g = cf.make_gaussian(1.0, 1)
-        rng = np.random.default_rng(3)
-        e = cf.make_empirical(rng.normal(size=20))
-        assert me.absolute_moment(g, 0.5, spec_env).value == pytest.approx(
-            me.absolute_moment(g, 0.5).value, rel=1e-9
-        )
-        assert me.absolute_moment(e, 0.5, spec_osc).value == pytest.approx(
-            me.absolute_moment(e, 0.5).value, rel=1e-9
-        )
-        with pytest.raises(DomainError):
-            me.absolute_moment(g, 0.5, spec_osc)
-        with pytest.raises(DomainError):
-            me.absolute_moment(e, 0.5, spec_env)
 
     def test_exact_method_requires_oracle(self):
         profile = cf.make_gaussian(1.0, 1)
@@ -344,6 +331,32 @@ class TestFulldimIntegral:
         vals = np.sqrt((pts**2).sum(1)) ** 0.5
         est, se = float(vals.mean()), float(vals.std() / math.sqrt(len(vals)))
         assert abs(res.value - est) < 3.0 * se
+
+
+class TestOctaveIncrements:
+    def test_last_two_extension_chunks(self):
+        # the membership cutoff check reads these instead of integrating
+        # octaves of its own
+        spec = QuadratureSpec()
+        e = cf.make_empirical(np.random.default_rng(5).normal(size=100))
+        profile = me.difference_profile(e, k=2, spec=spec, part="complex", magnitude=True)
+        _, _, diag = profile.integrate(1.5, spec)
+        R = diag["tail_start"]
+        expected = []
+        for lo, hi in ((R / 4.0, R / 2.0), (R / 2.0, R)):
+            bp = oscillatory_breakpoints(lo, hi, profile.freq, per_octave=3)
+            v, _, _, _ = adaptive_panel_integral(
+                profile.integrand(1.5), bp, spec.rel_tol, spec.abs_tol, spec.max_panels
+            )
+            expected.append(float(np.real(v)))
+        assert diag["octave_increments"] == expected
+
+    def test_empty_without_extension(self):
+        spec = QuadratureSpec()
+        g = cf.make_gaussian(1.0, 1)
+        profile = me.difference_profile(g, k=1, spec=spec, part="real", magnitude=True)
+        _, _, diag = profile.integrate(0.5, spec)
+        assert diag["octave_increments"] == []
 
 
 class TestBatchedAtomicTail:

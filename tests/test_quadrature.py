@@ -28,8 +28,6 @@ class TestSpec:
             QuadratureSpec(rel_tol=0.0)
         with pytest.raises(DomainError):
             QuadratureSpec(max_panels=8)
-        with pytest.raises(DomainError):
-            QuadratureSpec(tail_mode="nope")
 
 
 class TestAdaptivePanels:
