@@ -7,7 +7,12 @@ is built by one builder, :func:`difference_profile`.  It reduces the
 integrand to a one-dimensional :class:`DifferenceProfile` ``D(r)`` over one
 of three geometries: the radial profile of a radially symmetric transform,
 a sphere product rule up to dimension three, or an exact reduction over the
-atoms of a finitely supported measure.
+atoms of a finitely supported measure.  In dimension one the sphere rule
+folds onto one ray, since the transform of a real measure takes conjugate
+values at the nodes +1 and -1; along it, a factor with more atoms than
+the block degree is read from lazily built Chebyshev blocks
+(:class:`~cfmoments.quadrature.ChebyshevBlocks`) that the profile keeps
+for its lifetime.
 
 The integral of ``r**(-1-alpha) D(r)`` is then taken in three regions: an
 analytic power-law head below the origin cut (the difference vanishes like
@@ -20,6 +25,9 @@ integration-by-parts asymptotics of the atoms' kernels (one bridge grid
 shared by every atom, read at each atom's lower limit), the |D| window
 mean for atom pairs, a stabilized window around a known or estimated
 limit, or the exact Fourier series of |sin| for a pair of single atoms.
+Each pass reports its cost with its diagnostics: the radii at which D was
+evaluated (``points``) and the kernel evaluations behind them
+(``kernel_evals``).
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from scipy.special import j0 as _bessel_j0
 from .charfn import CharFn
 from .errors import DivergenceSuspectedError, DomainError, QuadratureError
 from .quadrature import (
+    ChebyshevBlocks,
     OriginModel,
     QuadratureSpec,
     adaptive_panel_integral,
@@ -66,6 +75,9 @@ __all__ = [
 _INT_TOL = 1e-9
 _GUARD_BAND = 1e-6
 _SLOPE_MARGIN = 1e-3
+# Chebyshev blocks of atomic transforms in d = 1: degree, and tau * width / 2
+_TABLE_DEGREE = 48
+_TABLE_HALF_PHASE = 16.0
 
 
 @dataclass
@@ -272,6 +284,16 @@ class SinSeriesTail:
         return 0.0, self.amp * val, self.amp * err
 
 
+@dataclass
+class _EvalCounts:
+    """Evaluator cost of a profile: radii at which D was evaluated, and
+    kernel evaluations (one per atom and point, one per point of a
+    formula transform), direct or spent filling Chebyshev blocks."""
+
+    points: int = 0
+    kernel_evals: int = 0
+
+
 @dataclass(frozen=True)
 class DifferenceProfile:
     """The one-dimensional integrand of a difference integral, with its tail.
@@ -283,7 +305,8 @@ class DifferenceProfile:
     returns D and, when asked, the sum of the term magnitudes, which bounds
     the cancellation scale of D (None when the evaluator has no terms to
     sum); ``freq`` is the oscillation frequency of D that panels must
-    resolve, and ``tail`` one of the tail strategies above.
+    resolve, and ``tail`` one of the tail strategies above.  ``counts``
+    accumulates the evaluator's cost over the profile's lifetime.
     """
 
     evaluate: Callable
@@ -291,9 +314,14 @@ class DifferenceProfile:
     freq: float
     magnitude: bool
     tail: object
+    counts: _EvalCounts = field(default_factory=_EvalCounts, compare=False, kw_only=True)
+
+    def _evaluate(self, r, with_magnitude):
+        self.counts.points += r.size
+        return self.evaluate(r, with_magnitude)
 
     def D(self, r):
-        return self.evaluate(np.asarray(r, dtype=float), False)[0]
+        return self._evaluate(np.asarray(r, dtype=float), False)[0]
 
     def integrand(self, alpha):
         """``r**(-1-alpha) D(r)``, the integrand of every region."""
@@ -309,7 +337,7 @@ class DifferenceProfile:
 
     def noise_limited(self, r) -> bool:
         """Whether rounding in the terms rivals D at r."""
-        d_here, terms = self.evaluate(np.array([r]), True)
+        d_here, terms = self._evaluate(np.array([r]), True)
         if terms is None:
             return False
         d_here = abs(d_here[0])
@@ -327,10 +355,11 @@ def _reduce_part(acc, part, magnitude):
     return np.abs(vals) if magnitude else vals
 
 
-def _radial_terms(coeffs, g, h, part, magnitude):
+def _radial_terms(coeffs, g, h, part, magnitude, counts):
     """Evaluator of ``sum_m c_m (g - h)(m r)`` for radial profiles g, h."""
 
     def evaluate(r, with_magnitude):
+        counts.kernel_evals += r.size * (coeffs.size - 1) * (1 if h is None else 2)
         acc = 0.0
         terms = 0.0
         for m in range(1, coeffs.size):
@@ -346,25 +375,94 @@ def _radial_terms(coeffs, g, h, part, magnitude):
     return evaluate
 
 
-def _sphere_terms(coeffs, f, h, d, order, part, magnitude):
-    """Evaluator of the sphere-rule mean of ``sum_m c_m (f - h)(m r u)``.
+def _factor_cost(phi: CharFn) -> int:
+    """Kernel evaluations per point: one per atom, one for a formula."""
+    return phi.atoms.size if phi.atoms is not None else 1
+
+
+def _counted_minus_one(phi: CharFn, counts):
+    def minus_one(pts):
+        counts.kernel_evals += pts.shape[0] * _factor_cost(phi)
+        return np.asarray(phi.minus_one(pts))
+    return minus_one
+
+
+def _ray_reader(phi: CharFn, counts):
+    """``phi(s) - 1`` along the positive axis of d = 1, for s >= 0.
+
+    A factor with more atoms than the table's degree is entire of
+    exponential type tau = max |x_j|, so it is read from Chebyshev blocks
+    of width 32 / tau, built as queries land and kept for the reader's
+    lifetime; radii below the first block, where the origin descent and
+    its noise probe live, are evaluated directly.
+    """
+    minus_one = _counted_minus_one(phi, counts)
+
+    def direct(s):
+        return minus_one(s[:, None])
+
+    if _factor_cost(phi) <= _TABLE_DEGREE:
+        return direct
+    tau = float(phi.atoms.radii().max())
+    return ChebyshevBlocks(direct, 2.0 * _TABLE_HALF_PHASE / tau, _TABLE_DEGREE)
+
+
+def _ray_terms(coeffs, phi, psi, part, magnitude, counts):
+    """Evaluator of the d = 1 two-node mean of ``sum_m c_m (phi - psi)(+-m r)``.
+
+    Transforms of real measures satisfy ``phi(-s) = conj phi(s)``, so the
+    nodes +1 and -1 carry conjugate values: the signed mean is the real
+    part of the +1 node and the magnitude mean is that node's magnitude,
+    the same numbers the two-node rule gives, from one ray.
+    """
+    f = _ray_reader(phi, counts)
+    h = None if psi is None else _ray_reader(psi, counts)
+
+    def evaluate(r, with_magnitude):
+        acc = np.zeros(r.size, dtype=complex if magnitude else float)
+        terms = 0.0
+        for m in range(1, coeffs.size):
+            vals = f(m * r)
+            if with_magnitude:
+                amp = np.abs(vals)
+            if h is not None:
+                other = h(m * r)
+                if with_magnitude:
+                    amp = amp + np.abs(other)
+                vals = vals - other
+            acc += coeffs[m] * (vals if magnitude else np.real(vals))
+            if with_magnitude:
+                terms = terms + abs(coeffs[m]) * amp
+        if magnitude:
+            D = _reduce_part(acc, part, True)
+        else:
+            D = acc if part == "real" else acc.astype(complex)
+        return D, terms if with_magnitude else None
+
+    return evaluate
+
+
+def _sphere_terms(coeffs, phi, psi, d, order, part, magnitude, counts):
+    """Evaluator of the sphere-rule mean of ``sum_m c_m (phi - psi)(m r u)``.
 
     Signed means are combined per m; with ``magnitude`` the absolute value
     is taken per node, before the mean.
     """
     nodes, node_w = sphere_rule(d, order)
     area = sphere_area(d)
+    f = _counted_minus_one(phi, counts)
+    h = None if psi is None else _counted_minus_one(psi, counts)
 
     def evaluate(r, with_magnitude):
         acc = np.zeros((r.size, node_w.size) if magnitude else r.size, dtype=complex)
         terms = 0.0
         for m in range(1, coeffs.size):
             flat = ((m * r)[:, None, None] * nodes[None, :, :]).reshape(-1, d)
-            vals = np.asarray(f(flat)).reshape(r.size, -1)
+            vals = f(flat).reshape(r.size, -1)
             if with_magnitude:
                 amp = np.abs(vals)
             if h is not None:
-                other = np.asarray(h(flat)).reshape(r.size, -1)
+                other = h(flat).reshape(r.size, -1)
                 if with_magnitude:
                     amp = amp + np.abs(other)
                 vals = vals - other
@@ -384,7 +482,7 @@ def _sphere_terms(coeffs, f, h, d, order, part, magnitude):
     return evaluate
 
 
-def _atomic_terms(phi: CharFn, coeffs):
+def _atomic_terms(phi: CharFn, coeffs, counts):
     """Evaluator, frequency and tail over the atom radii: the sphere mean
     of each plane wave is the kernel K(m r rho), so no angular rule is
     needed."""
@@ -400,6 +498,7 @@ def _atomic_terms(phi: CharFn, coeffs):
     ms = np.arange(1, k + 1)
 
     def evaluate(r, with_magnitude):
+        counts.kernel_evals += r.size * k * radii.size
         y = r[:, None, None] * (ms[None, :, None] * radii[None, None, :])
         # K - 1 per factor keeps the origin cancellation exact; the
         # m = 0 term vanishes identically in this form
@@ -459,7 +558,8 @@ def difference_profile(phi: CharFn, psi: CharFn | None = None, *, k: int,
 
     Radial transforms reduce to their profile; signed differences of
     finitely supported measures reduce exactly over the atoms; everything
-    else uses the sphere product rule up to dimension three.
+    else uses the sphere product rule up to dimension three, folded onto
+    one ray in dimension one.
     """
     if part not in ("real", "complex"):
         raise DomainError(f"part must be 'real' or 'complex', not {part!r}")
@@ -467,24 +567,28 @@ def difference_profile(phi: CharFn, psi: CharFn | None = None, *, k: int,
     d = phi.dim
     if psi is not None and psi.dim != d:
         raise DomainError("dimension mismatch")
+    counts = _EvalCounts()
     if not magnitude and psi is None and phi.atoms is not None:
-        evaluate, freq, tail = _atomic_terms(phi, coeffs)
-        return DifferenceProfile(evaluate, sphere_area(d), float(freq), magnitude=False, tail=tail)
+        evaluate, freq, tail = _atomic_terms(phi, coeffs, counts)
+        return DifferenceProfile(evaluate, sphere_area(d), float(freq), magnitude=False,
+                                 tail=tail, counts=counts)
     if phi.is_radial and (psi is None or psi.is_radial):
         evaluate = _radial_terms(coeffs, phi.radial_minus_one,
                                  None if psi is None else psi.radial_minus_one,
-                                 part, magnitude)
+                                 part, magnitude, counts)
+    elif d == 1:
+        evaluate = _ray_terms(coeffs, phi, psi, part, magnitude, counts)
     elif d <= 3:
-        evaluate = _sphere_terms(coeffs, phi.minus_one,
-                                 None if psi is None else psi.minus_one,
-                                 d, spec.sphere_order, part, magnitude)
+        evaluate = _sphere_terms(coeffs, phi, psi, d, spec.sphere_order, part, magnitude,
+                                 counts)
     else:
         raise DomainError(
             f"non-radial transforms are limited to dimension 3 (got d={d})"
         )
     freq = k * (phi.osc_scale + (0.0 if psi is None else psi.osc_scale))
     tail = _profile_tail(phi, psi, coeffs, part, magnitude)
-    return DifferenceProfile(evaluate, sphere_area(d), float(freq), magnitude=magnitude, tail=tail)
+    return DifferenceProfile(evaluate, sphere_area(d), float(freq), magnitude=magnitude,
+                             tail=tail, counts=counts)
 
 
 def _origin_descent(profile: DifferenceProfile, a: float, alpha: float,
@@ -549,8 +653,17 @@ def _difference_integral(profile: DifferenceProfile, alpha: float,
     """Integrate ``r**(-1-alpha) D(r)`` over (0, inf) for a profile.
 
     Returns ``(value, error, diagnostics)`` on the bare scale (the caller
-    multiplies by the angular factor).
+    multiplies by the angular factor).  The diagnostics count this pass's
+    cost: ``points``, the radii at which D was evaluated, and
+    ``kernel_evals``, the kernel evaluations behind them.
     """
+    counts = profile.counts
+    start = (counts.points, counts.kernel_evals)
+
+    def cost():
+        return {"points": counts.points - start[0],
+                "kernel_evals": counts.kernel_evals - start[1]}
+
     a = profile.origin_cut(spec)
     head_val, head_err, slope, octaves = _origin_descent(
         profile, a, alpha, spec,
@@ -558,7 +671,7 @@ def _difference_integral(profile: DifferenceProfile, alpha: float,
         raise_on_divergence=raise_on_divergence,
     )
     if not np.isfinite(head_err):
-        return math.nan, math.inf, {"origin_slope": slope, "diverged": True}
+        return math.nan, math.inf, {"origin_slope": slope, "diverged": True, **cost()}
 
     integrand = profile.integrand(alpha)
     r_mid = max(8.0 * spec.r_split, 64.0 * a)
@@ -602,6 +715,7 @@ def _difference_integral(profile: DifferenceProfile, alpha: float,
         "panels_converged": converged,
         # the last two octaves before R, [R/4, R/2] and [R/2, R]
         "octave_increments": increments[-2:] if len(increments) >= 2 else [],
+        **cost(),
     }
     return value, error, diagnostics
 
@@ -625,8 +739,9 @@ def radial_difference_integral(F, k: int, alpha: float, d: int = 1,
             return np.asarray(F(np.asarray(r, dtype=float))) - 1.0
 
     coeffs = binomial_difference_coefficients(k)
+    counts = _EvalCounts()
     profile = DifferenceProfile(
-        _radial_terms(coeffs, g, None, "complex", False),
+        _radial_terms(coeffs, g, None, "complex", False, counts),
         angular=1.0,
         freq=0.0,
         magnitude=False,
@@ -634,6 +749,7 @@ def radial_difference_integral(F, k: int, alpha: float, d: int = 1,
         # tail constant gets estimated from a far window instead
         tail=(StabilizedTail(None) if envelope is None
               else EnvelopeTail(coeffs[0], coeffs, (envelope,))),
+        counts=counts,
     )
     value, error, diag = profile.integrate(alpha, spec)
     if not diag.get("panels_converged", True) and error > 10 * max(

@@ -10,6 +10,8 @@ the pieces the engine composes:
   analytically from a fitted local exponent,
 * breakpoint planners for geometric and oscillation-resolving panels,
 * the product rule over the unit sphere that reduces non-radial integrands,
+* a lazily built piecewise-Chebyshev table that reads an entire function
+  of known exponential type by interpolation instead of evaluating it,
 * the hybrid evaluator for oscillatory power tails, which closes the tails
   of many lower limits from one shared bridge grid.
 
@@ -29,6 +31,7 @@ from .specfun import trig_power_tail
 
 __all__ = [
     "QuadratureSpec",
+    "ChebyshevBlocks",
     "OriginModel",
     "adaptive_panel_integral",
     "bridged_tail",
@@ -356,6 +359,84 @@ def bridged_tail(f, series, y, y0, *, per_octave, rel_tol, abs_tol, max_panels):
     if y.ndim == 0:
         return val[0], float(err[0])
     return val.reshape(y.shape), err.reshape(y.shape)
+
+
+class ChebyshevBlocks:
+    """Lazily built piecewise-Chebyshev table of a function on [0, inf).
+
+    Block j >= 1 covers ``[j width, (j+1) width]``.  A query fills every
+    block it lands in that is not built yet from calls of ``f`` on the new
+    blocks' ``degree + 1`` Chebyshev-Lobatto nodes, batched so that no call
+    gets more arguments than the query or one block has; a type-I DCT
+    turns the values into Chebyshev coefficients, which Clenshaw's
+    recurrence evaluates from then on.  Arguments below ``width`` (the
+    first block) go to ``f`` directly.  ``f`` maps a flat array to complex
+    values.
+
+    For ``f`` entire of exponential type tau, ``tau * width / 2 = 16`` at
+    degree 48 interpolates ``exp(i tau s)`` to about 5e-15, so a sum of
+    such terms keeps that accuracy relative to the sum of its amplitudes.
+    """
+
+    def __init__(self, f, width: float, degree: int = 48):
+        self.f = f
+        self.width = float(width)
+        self.degree = degree
+        k = np.arange(degree + 1)
+        self._nodes = 0.5 * (1.0 + np.cos(math.pi * k / degree))
+        # type-I DCT from node values to Chebyshev coefficients; the end
+        # nodes and the first and last coefficients carry half weight
+        self._dct = np.cos(math.pi * np.outer(k, k) / degree) * (2.0 / degree)
+        self._dct[:, [0, -1]] *= 0.5
+        self._dct[[0, -1], :] *= 0.5
+        self._index = np.empty(0, dtype=np.int64)  # built blocks, sorted
+        # real and imaginary coefficients, one column per block
+        self._parts = (np.empty((degree + 1, 0)), np.empty((degree + 1, 0)))
+
+    def _build(self, blocks):
+        lo = blocks[:, None] * self.width
+        vals = np.asarray(self.f((lo + self.width * self._nodes[None, :]).ravel()))
+        vals = vals.reshape(lo.size, -1).T
+        index = np.concatenate([self._index, blocks])
+        order = np.argsort(index)
+        self._index = index[order]
+        self._parts = tuple(np.concatenate([old, self._dct @ new], axis=1)[:, order]
+                            for old, new in zip(self._parts, (vals.real, vals.imag)))
+
+    def _clenshaw(self, c, col, x):
+        """``sum_n c[n, col] T_n(x)`` for every point."""
+        x2 = 2.0 * x
+        b1 = np.zeros(x.size)
+        b2 = np.zeros(x.size)
+        for n in range(self.degree, 0, -1):
+            t = np.take(c[n], col)
+            t += x2 * b1
+            t -= b2
+            b1, b2 = t, b1
+        return np.take(c[0], col) + x * b1 - b2
+
+    def __call__(self, s):
+        s = np.asarray(s, dtype=float)
+        block = np.floor(s / self.width).astype(np.int64)
+        direct = block < 1
+        if direct.all():
+            return np.asarray(self.f(s))
+        out = np.empty(s.shape, dtype=complex)
+        if direct.any():
+            out[direct] = self.f(s[direct])
+        block = block[~direct]
+        wanted = np.unique(block)
+        new = wanted[~np.isin(wanted, self._index)]
+        per_call = max(1, s.size // (self.degree + 1))
+        for start in range(0, new.size, per_call):
+            self._build(new[start:start + per_call])
+        col = np.searchsorted(self._index, block)
+        # local coordinate in [-1, 1]; the nodes run from +1 down to -1
+        x = 2.0 * (s[~direct] - block * self.width) / self.width - 1.0
+        re, im = (self._clenshaw(c, col, x) for c in self._parts)
+        out.real[~direct] = re
+        out.imag[~direct] = im
+        return out
 
 
 def trig_tail_integral(y, alpha: float, kind: str = "exp", bridge_to: float = 32.0):

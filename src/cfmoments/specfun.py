@@ -224,6 +224,33 @@ def cosine_difference_kernel_bound(k: int, r):
     return np.minimum(2.0 ** (k + 1), 2.0 * r**k)
 
 
+def _power_tail_series(y, nu, tol):
+    """``(sum, bound)`` of :func:`trig_power_tail`'s series for one start.
+
+    The terms can only decrease up to index ``y - nu + 1``, so all of them
+    are formed in one numpy pass each for powers, magnitudes and partial
+    sums, with the same operations as the array path; the stopping rule
+    then picks how many are taken.
+    """
+    n = int(min(200, max(2, math.ceil(y - nu) + 2)))
+    coeffs = [1j]
+    for j in range(n - 1):
+        coeffs.append(coeffs[-1] * (-1j * (nu + j)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # far terms may overflow; the stopping rule never reaches them
+        terms = np.array(coeffs) * np.array([y]) ** (-nu - np.arange(n))
+        mags = np.abs(terms)
+        partial = np.cumsum(terms)
+    # stop before the first term that does not decrease, or after the
+    # first one below tol relative to the sum
+    rising = np.flatnonzero(~(mags < np.concatenate([[math.inf], mags[:-1]])))
+    small = np.flatnonzero(mags < tol * np.maximum(np.abs(partial), 1e-300))
+    taken = min(rising[0] if rising.size else n, small[0] + 1 if small.size else n)
+    if taken == 0:
+        return 0j, (np.array([y]) ** (1.0 - nu))[0] / max(nu - 1.0, 1e-300)
+    return partial[taken - 1], mags[taken - 1]
+
+
 def trig_power_tail(y, alpha: float, tol: float = 1e-16):
     """Asymptotic value of ``int_y^inf u**(-1-alpha) exp(iu) du``.
 
@@ -233,31 +260,39 @@ def trig_power_tail(y, alpha: float, tol: float = 1e-16):
     bounded by that term's magnitude, so each element's series is summed
     while its terms decrease and cut at the smallest one (or once a term
     falls below ``tol`` relative to the sum).  ``y`` is a scalar or an
-    array; returns ``(value, bound)`` of the same shape.  Useful once
-    ``y >~ nu``; callers bridge smaller y by quadrature.
+    array; returns ``(value, bound)`` of the same shape.  Up to three
+    starts are summed start by start, more by one numpy pass per term;
+    both give the same values to an ulp.  Useful once ``y >~ nu``; callers
+    bridge smaller y by quadrature.
     """
     y_arr = np.asarray(y, dtype=float)
     flat = y_arr.ravel()
     if np.any(flat <= 0.0):
         raise DomainError("trig_power_tail requires y > 0")
     nu = 1.0 + alpha
-    acc = np.zeros(flat.size, dtype=complex)
-    prev_mag = np.full(flat.size, math.inf)
-    bound = flat ** (1.0 - nu) / max(nu - 1.0, 1e-300)
-    live = np.arange(flat.size)
-    coeff = 1j
-    for j in range(200):
-        if live.size == 0:
-            break
-        term = coeff * flat[live] ** (-nu - j)
-        mag = np.abs(term)
-        falling = mag < prev_mag[live]
-        live, term, mag = live[falling], term[falling], mag[falling]
-        acc[live] += term
-        bound[live] = mag
-        prev_mag[live] = mag
-        live = live[mag >= tol * np.maximum(np.abs(acc[live]), 1e-300)]
-        coeff *= -1j * (nu + j)
+    if flat.size <= 3:
+        acc = np.empty(flat.size, dtype=complex)
+        bound = np.empty(flat.size)
+        for i, yi in enumerate(flat.tolist()):
+            acc[i], bound[i] = _power_tail_series(yi, nu, tol)
+    else:
+        acc = np.zeros(flat.size, dtype=complex)
+        prev_mag = np.full(flat.size, math.inf)
+        bound = flat ** (1.0 - nu) / max(nu - 1.0, 1e-300)
+        live = np.arange(flat.size)
+        coeff = 1j
+        for j in range(200):
+            if live.size == 0:
+                break
+            term = coeff * flat[live] ** (-nu - j)
+            mag = np.abs(term)
+            falling = mag < prev_mag[live]
+            live, term, mag = live[falling], term[falling], mag[falling]
+            acc[live] += term
+            bound[live] = mag
+            prev_mag[live] = mag
+            live = live[mag >= tol * np.maximum(np.abs(acc[live]), 1e-300)]
+            coeff *= -1j * (nu + j)
     value = np.exp(1j * flat) * acc
     if y_arr.ndim == 0:
         return complex(value[0]), float(bound[0])

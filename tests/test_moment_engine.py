@@ -466,3 +466,160 @@ class TestKernelMinusOne:
             out = me._kernel_minus_one(kernel, y)
         assert out.shape == y.shape
         assert np.array_equal(out, ref)
+
+
+def _two_node_D(coeffs, phi, psi, r, part, magnitude):
+    """The d = 1 sphere rule with both nodes, +1 and -1: signed means
+    combined per m, magnitudes taken per node before the mean."""
+    node_w = np.array([1.0, 1.0])
+    acc = np.zeros((r.size, 2) if magnitude else r.size, dtype=complex)
+    for m in range(1, coeffs.size):
+        vals = np.stack([np.asarray(phi.minus_one((u * m * r)[:, None])) for u in (1.0, -1.0)],
+                        axis=1)
+        if psi is not None:
+            vals = vals - np.stack([np.asarray(psi.minus_one((u * m * r)[:, None]))
+                                    for u in (1.0, -1.0)], axis=1)
+        if magnitude:
+            acc += coeffs[m] * vals
+        else:
+            acc = acc + coeffs[m] * (vals @ node_w)
+    if magnitude:
+        return (me._reduce_part(acc, part, True) @ node_w) / 2.0
+    acc /= 2.0
+    return me._reduce_part(acc, part, False)
+
+
+class TestOneRayFold:
+    R = np.concatenate([np.geomspace(1e-5, 200.0, 397), [1.0, 2.0, 3.5]])
+
+    def _profiles(self):
+        from cfmoments.heat import evolve
+
+        rng = np.random.default_rng(11)
+        e50 = cf.make_empirical(rng.normal(size=50))
+        a = cf.make_empirical(rng.normal(size=40))
+        b = cf.make_empirical(rng.normal(0.3, 1.2, size=30))
+        return {
+            "signed-evolve": (evolve(e50, 1.5, 0.5), None, 1, "real", False),
+            "magnitude-pair": (a, b, 1, "complex", True),
+            "membership-k2": (a, None, 2, "complex", True),
+        }
+
+    @pytest.mark.parametrize("name", ["signed-evolve", "magnitude-pair", "membership-k2"])
+    def test_equals_two_node_rule(self, name):
+        phi, psi, k, part, magnitude = self._profiles()[name]
+        spec = QuadratureSpec()
+        profile = me.difference_profile(phi, psi, k=k, spec=spec, part=part, magnitude=magnitude)
+        coeffs = me.binomial_difference_coefficients(k)
+        ref = _two_node_D(coeffs, phi, psi, self.R, part, magnitude)
+        got = profile.D(self.R)
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+
+    def test_second_evaluation_reuses_blocks(self):
+        import dataclasses
+
+        calls = []
+
+        def counted(phi):
+            def minus_one(pts):
+                calls.append(pts.shape[0])
+                return phi.minus_one(pts)
+            return dataclasses.replace(phi, minus_one=minus_one)
+
+        rng = np.random.default_rng(12)
+        a = counted(cf.make_empirical(rng.normal(size=100)))
+        b = counted(cf.make_empirical(rng.normal(size=100)))
+        profile = me.difference_profile(a, b, k=1, spec=QuadratureSpec(), part="complex",
+                                        magnitude=True)
+        # every radius past the first block of both tables
+        r = np.linspace(40.0, 300.0, 3000)
+        first = profile.D(r)
+        n_calls = len(calls)
+        assert n_calls > 0
+        assert np.array_equal(profile.D(r), first)
+        assert len(calls) == n_calls
+
+    def test_lacunary_12_stays_direct(self):
+        lac = cf.make_discrete(cf.lacunary_measure(1.0, 12))
+        counts = me._EvalCounts()
+        assert not isinstance(me._ray_reader(lac, counts), me.ChebyshevBlocks)
+        profile = me.difference_profile(lac, k=2, spec=QuadratureSpec(), part="complex",
+                                        magnitude=True)
+        coeffs = me.binomial_difference_coefficients(2)
+        ref = _two_node_D(coeffs, lac, None, self.R, "complex", True)
+        assert np.array_equal(profile.D(self.R), ref)
+
+    def test_two_sample_distance_cost(self):
+        from cfmoments.metrics import integral_distance
+
+        rng = np.random.default_rng(13)
+        a = cf.make_empirical(rng.normal(size=100))
+        b = cf.make_empirical(rng.normal(size=100))
+        d = integral_distance(a, b, 0.5).grid_report
+        # the two-node rule costs two nodes times both atom sets per radius
+        assert 0 < d["kernel_evals"] * 10 <= d["points"] * 2 * 200
+
+
+class TestRayTable:
+    """The engine's Chebyshev blocks of atomic transforms against direct
+    evaluation."""
+
+    # windows across [0, 4096]: the direct region below the first block,
+    # the first blocks, and far blocks up to the end of the range
+    S = np.concatenate([np.linspace(c, c + 4.0, 300) for c in (0.0, 3.0, 30.0, 300.0,
+                                                                1000.0, 2500.0, 4092.0)])
+
+    @staticmethod
+    def _atom_sets():
+        from cfmoments import mc_oracle
+
+        rng = np.random.default_rng(7)
+        x = rng.uniform(-2.0, 2.0, 60)
+        w = np.full(60, 0.5 / 59)
+        w[np.argmax(np.abs(x))] = 0.5  # half the weight on the fastest atom
+        return {
+            "gaussian-n1000": cf.make_empirical(mc_oracle.sample_gaussian(1.0, 1, 1000, 3).points),
+            "stable1.5-n1000": cf.make_empirical(mc_oracle.sample_stable_1d(1.5, 1000, 3).points),
+            "worst-60": cf.make_discrete(cf.DiscreteMeasure(x.reshape(-1, 1), w)),
+        }
+
+    @pytest.mark.parametrize("name", ["gaussian-n1000", "stable1.5-n1000", "worst-60"])
+    def test_matches_direct_evaluation(self, name):
+        phi = self._atom_sets()[name]
+        reader = me._ray_reader(phi, me._EvalCounts())
+        assert isinstance(reader, me.ChebyshevBlocks)
+        got = reader(self.S)
+        direct = np.concatenate([phi.minus_one(c[:, None]) for c in np.split(self.S, 7)])
+        w = np.abs(phi.atoms.weights)
+        # rounding the phases s * x_j moves the direct value by up to
+        # eps/2 * s * sum |w_j x_j|, and the table's nodes carry the same
+        # rounding: beyond four times that floor the table may add only
+        # 1e-14 of the summed weights
+        floor = 0.5 * np.finfo(float).eps * self.S * (w * phi.atoms.radii()).sum()
+        assert np.all(np.abs(got - direct) <= 1e-14 * w.sum() + 4.0 * floor)
+
+
+class TestEvaluatorCounts:
+    def test_atomic_moment(self):
+        e = cf.make_empirical(np.random.default_rng(14).normal(size=40))
+        spec = QuadratureSpec()
+        profile = me.difference_profile(e, k=3, spec=spec, part="real", magnitude=False)
+        _, _, diag = profile.integrate(2.5, spec)
+        assert diag["points"] > 0
+        assert diag["kernel_evals"] == diag["points"] * 3 * 40
+
+    def test_radial_moment(self):
+        g = cf.make_gaussian(1.0, 2)
+        res = me.absolute_moment(g, 0.5)
+        assert res.diagnostics["kernel_evals"] == res.diagnostics["points"] * 1
+
+    def test_counts_per_pass(self):
+        # a second pass over the same profile reports its own cost only
+        g = cf.make_gaussian(1.0, 1)
+        spec = QuadratureSpec()
+        profile = me.difference_profile(g, k=1, spec=spec, part="real", magnitude=True)
+        _, _, first = profile.integrate(0.5, spec)
+        _, _, second = profile.integrate(0.5, spec)
+        assert first["points"] == second["points"] > 0
+        assert profile.counts.points == 2 * first["points"]

@@ -172,3 +172,30 @@ class TestAdaptivePanelsNearDuplicates:
             lambda u: u ** -1.5 * np.exp(1j * u), [1.0, 5.0, 6.0], 1e-13, 1e-16, 64
         )
         assert ok and abs(val - ref) <= 1e-14 * abs(ref)
+
+
+class TestChebyshevBlocks:
+    def test_blocks_built_once(self):
+        from cfmoments.quadrature import ChebyshevBlocks
+
+        seen = []
+
+        def f(s):
+            seen.append(s.size)
+            return np.exp(-1j * s) - 1.0
+
+        table = ChebyshevBlocks(f, 32.0)
+        s = np.linspace(40.0, 200.0, 1000)
+        first = table(s)
+        n_calls = len(seen)
+        assert np.array_equal(table(s), first)
+        assert len(seen) == n_calls
+        # blocks 1..6 hold s in [32, 224): six blocks of 49 nodes each
+        assert sum(seen) == 6 * 49
+
+    def test_direct_below_first_block(self):
+        from cfmoments.quadrature import ChebyshevBlocks
+
+        table = ChebyshevBlocks(lambda s: np.expm1(-1j * s), 8.0)
+        s = np.array([0.0, 1e-300, 1e-8, 0.5, 7.999])
+        assert np.array_equal(table(s), np.expm1(-1j * s))

@@ -223,6 +223,20 @@ class TestTrigPowerTailArray:
         np.testing.assert_allclose(val, ref, rtol=1e-14, atol=0.0)
         np.testing.assert_allclose(bound, ref_bound, rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 1.5, 2.5, 6.0])
+    def test_few_starts_match_array_path(self, alpha):
+        # one to three starts take the per-start path, more the array path
+        y = np.concatenate([self.Y, np.geomspace(200.0, 2000.0, 7)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            val, bound = sf.trig_power_tail(y, alpha)
+            for n in (1, 2, 3):
+                for i in range(0, y.size - n + 1, n):
+                    v, b = sf.trig_power_tail(y[i:i + n], alpha)
+                    for got, ref in ((v.real, val[i:i + n].real), (v.imag, val[i:i + n].imag),
+                                     (b, bound[i:i + n])):
+                        assert np.all(np.abs(got - ref) <= np.spacing(np.abs(ref)))
+
     def test_scalar_in_scalar_out(self):
         val, bound = sf.trig_power_tail(40.0, 0.5)
         assert isinstance(val, complex) and isinstance(bound, float)
