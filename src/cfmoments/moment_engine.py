@@ -75,9 +75,6 @@ __all__ = [
 _INT_TOL = 1e-9
 _GUARD_BAND = 1e-6
 _SLOPE_MARGIN = 1e-3
-# Chebyshev blocks of atomic transforms in d = 1: degree, and tau * width / 2
-_TABLE_DEGREE = 48
-_TABLE_HALF_PHASE = 16.0
 
 
 @dataclass
@@ -376,7 +373,13 @@ def _radial_terms(coeffs, g, h, part, magnitude, counts):
 
 
 def _factor_cost(phi: CharFn) -> int:
-    """Kernel evaluations per point: one per atom, one for a formula."""
+    """Kernel evaluations per point: one per atom, one for a formula.
+
+    A transform is costed by the ``atoms`` it carries, not by how its
+    ``minus_one`` is composed: a product of atomic laws counts its n m
+    convolved atoms although it evaluates its two factors (n + m), and a
+    product with a formula factor carries no atoms and counts one.
+    """
     return phi.atoms.size if phi.atoms is not None else 1
 
 
@@ -390,21 +393,24 @@ def _counted_minus_one(phi: CharFn, counts):
 def _ray_reader(phi: CharFn, counts):
     """``phi(s) - 1`` along the positive axis of d = 1, for s >= 0.
 
-    A factor with more atoms than the table's degree is entire of
-    exponential type tau = max |x_j|, so it is read from Chebyshev blocks
-    of width 32 / tau, built as queries land and kept for the reader's
+    A factor costing more kernel evaluations per point than the table's
+    degree is entire of exponential type tau = max |x_j|, so it is read
+    from Chebyshev blocks built as queries land and kept for the reader's
     lifetime; radii below the first block, where the origin descent and
-    its noise probe live, are evaluated directly.
+    its noise probe live, are evaluated directly.  Atoms all at the origin
+    (tau = 0) give a constant, read directly.
     """
     minus_one = _counted_minus_one(phi, counts)
 
     def direct(s):
         return minus_one(s[:, None])
 
-    if _factor_cost(phi) <= _TABLE_DEGREE:
+    if _factor_cost(phi) <= ChebyshevBlocks.DEGREE:
         return direct
     tau = float(phi.atoms.radii().max())
-    return ChebyshevBlocks(direct, 2.0 * _TABLE_HALF_PHASE / tau, _TABLE_DEGREE)
+    if tau == 0.0:
+        return direct
+    return ChebyshevBlocks(direct, tau)
 
 
 def _ray_terms(coeffs, phi, psi, part, magnitude, counts):

@@ -31,7 +31,6 @@ from .specfun import trig_power_tail
 
 __all__ = [
     "QuadratureSpec",
-    "ChebyshevBlocks",
     "OriginModel",
     "adaptive_panel_integral",
     "bridged_tail",
@@ -364,51 +363,64 @@ def bridged_tail(f, series, y, y0, *, per_octave, rel_tol, abs_tol, max_panels):
 class ChebyshevBlocks:
     """Lazily built piecewise-Chebyshev table of a function on [0, inf).
 
-    Block j >= 1 covers ``[j width, (j+1) width]``.  A query fills every
-    block it lands in that is not built yet from calls of ``f`` on the new
-    blocks' ``degree + 1`` Chebyshev-Lobatto nodes, batched so that no call
-    gets more arguments than the query or one block has; a type-I DCT
-    turns the values into Chebyshev coefficients, which Clenshaw's
+    ``f`` maps a flat array of arguments to complex values and is entire of
+    exponential type ``tau`` > 0, such as a sum of plane waves
+    ``w_j exp(-i x_j s)`` with ``tau = max |x_j|``.  Block j >= 1 covers
+    ``[j width, (j+1) width]`` with ``width = 32 / tau``.  A query fills
+    every block it lands in that is not built yet from calls of ``f`` on
+    the new blocks' ``DEGREE + 1`` Chebyshev-Lobatto nodes, batched so that
+    no call gets more arguments than the query or one block has; a type-I
+    DCT turns the values into Chebyshev coefficients, which Clenshaw's
     recurrence evaluates from then on.  Arguments below ``width`` (the
-    first block) go to ``f`` directly.  ``f`` maps a flat array to complex
-    values.
+    first block) go to ``f`` directly.
 
-    For ``f`` entire of exponential type tau, ``tau * width / 2 = 16`` at
-    degree 48 interpolates ``exp(i tau s)`` to about 5e-15, so a sum of
-    such terms keeps that accuracy relative to the sum of its amplitudes.
+    At degree 48 and ``tau * width / 2 = 16``, interpolation of
+    ``exp(i tau s)`` is accurate to about 5e-15, so a sum of such terms
+    keeps that accuracy relative to the sum of its amplitudes.  Each point
+    costs a degree-48 recurrence, so the table pays only where one call of
+    ``f`` costs more than ``DEGREE`` kernel evaluations per argument.
     """
 
-    def __init__(self, f, width: float, degree: int = 48):
+    DEGREE = 48
+    _HALF_PHASE = 16.0
+
+    def __init__(self, f, tau: float):
+        if not tau > 0.0:
+            raise DomainError("exponential type must be positive")
         self.f = f
-        self.width = float(width)
-        self.degree = degree
-        k = np.arange(degree + 1)
-        self._nodes = 0.5 * (1.0 + np.cos(math.pi * k / degree))
+        self.width = 2.0 * self._HALF_PHASE / float(tau)
+        n = self.DEGREE
+        k = np.arange(n + 1)
+        self._nodes = 0.5 * (1.0 + np.cos(math.pi * k / n))
         # type-I DCT from node values to Chebyshev coefficients; the end
         # nodes and the first and last coefficients carry half weight
-        self._dct = np.cos(math.pi * np.outer(k, k) / degree) * (2.0 / degree)
+        self._dct = np.cos(math.pi * np.outer(k, k) / n) * (2.0 / n)
         self._dct[:, [0, -1]] *= 0.5
         self._dct[[0, -1], :] *= 0.5
-        self._index = np.empty(0, dtype=np.int64)  # built blocks, sorted
-        # real and imaginary coefficients, one column per block
-        self._parts = (np.empty((degree + 1, 0)), np.empty((degree + 1, 0)))
+        self._column = {}  # block index -> column of its coefficients
+        # real and imaginary coefficients, appended one column per block;
+        # the capacity doubles when full
+        self._coef = np.empty((2, n + 1, 16))
 
     def _build(self, blocks):
         lo = blocks[:, None] * self.width
         vals = np.asarray(self.f((lo + self.width * self._nodes[None, :]).ravel()))
         vals = vals.reshape(lo.size, -1).T
-        index = np.concatenate([self._index, blocks])
-        order = np.argsort(index)
-        self._index = index[order]
-        self._parts = tuple(np.concatenate([old, self._dct @ new], axis=1)[:, order]
-                            for old, new in zip(self._parts, (vals.real, vals.imag)))
+        first = len(self._column)
+        if first + blocks.size > self._coef.shape[2]:
+            grown = np.empty((2, self.DEGREE + 1, 2 * (first + blocks.size)))
+            grown[:, :, :first] = self._coef[:, :, :first]
+            self._coef = grown
+        self._coef[0, :, first:first + blocks.size] = self._dct @ vals.real
+        self._coef[1, :, first:first + blocks.size] = self._dct @ vals.imag
+        self._column.update(zip(blocks.tolist(), range(first, first + blocks.size)))
 
     def _clenshaw(self, c, col, x):
         """``sum_n c[n, col] T_n(x)`` for every point."""
         x2 = 2.0 * x
         b1 = np.zeros(x.size)
         b2 = np.zeros(x.size)
-        for n in range(self.degree, 0, -1):
+        for n in range(self.DEGREE, 0, -1):
             t = np.take(c[n], col)
             t += x2 * b1
             t -= b2
@@ -425,15 +437,15 @@ class ChebyshevBlocks:
         if direct.any():
             out[direct] = self.f(s[direct])
         block = block[~direct]
-        wanted = np.unique(block)
-        new = wanted[~np.isin(wanted, self._index)]
-        per_call = max(1, s.size // (self.degree + 1))
+        wanted, where = np.unique(block, return_inverse=True)
+        new = np.array([b for b in wanted.tolist() if b not in self._column], dtype=np.int64)
+        per_call = max(1, s.size // (self.DEGREE + 1))
         for start in range(0, new.size, per_call):
             self._build(new[start:start + per_call])
-        col = np.searchsorted(self._index, block)
+        col = np.array([self._column[b] for b in wanted.tolist()], dtype=np.int64)[where]
         # local coordinate in [-1, 1]; the nodes run from +1 down to -1
         x = 2.0 * (s[~direct] - block * self.width) / self.width - 1.0
-        re, im = (self._clenshaw(c, col, x) for c in self._parts)
+        re, im = (self._clenshaw(c, col, x) for c in self._coef)
         out.real[~direct] = re
         out.imag[~direct] = im
         return out

@@ -550,6 +550,19 @@ class TestOneRayFold:
         ref = _two_node_D(coeffs, lac, None, self.R, "complex", True)
         assert np.array_equal(profile.D(self.R), ref)
 
+    def test_atoms_all_at_origin(self):
+        # sixty samples at 0 are a radial law with tau = 0; against a
+        # non-radial sample the ray reads that factor directly
+        from cfmoments.metrics import integral_distance
+
+        zeros = cf.make_empirical(np.zeros(60))
+        assert not isinstance(me._ray_reader(zeros, me._EvalCounts()), me.ChebyshevBlocks)
+        x = cf.make_empirical(np.random.default_rng(5).normal(size=60))
+        got = integral_distance(zeros, x, 0.5)
+        ref = integral_distance(cf.make_point_mass(0.0), x, 0.5)
+        assert np.isfinite(got.value)
+        assert got.value == ref.value
+
     def test_two_sample_distance_cost(self):
         from cfmoments.metrics import integral_distance
 

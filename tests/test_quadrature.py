@@ -184,7 +184,7 @@ class TestChebyshevBlocks:
             seen.append(s.size)
             return np.exp(-1j * s) - 1.0
 
-        table = ChebyshevBlocks(f, 32.0)
+        table = ChebyshevBlocks(f, 1.0)  # blocks of width 32
         s = np.linspace(40.0, 200.0, 1000)
         first = table(s)
         n_calls = len(seen)
@@ -196,6 +196,35 @@ class TestChebyshevBlocks:
     def test_direct_below_first_block(self):
         from cfmoments.quadrature import ChebyshevBlocks
 
-        table = ChebyshevBlocks(lambda s: np.expm1(-1j * s), 8.0)
+        table = ChebyshevBlocks(lambda s: np.expm1(-1j * s), 4.0)  # width 8
         s = np.array([0.0, 1e-300, 1e-8, 0.5, 7.999])
         assert np.array_equal(table(s), np.expm1(-1j * s))
+
+    def test_blocks_found_across_queries(self):
+        from cfmoments.quadrature import ChebyshevBlocks
+
+        seen = []
+
+        def f(s):
+            seen.append(s.size)
+            return np.exp(-1j * s) - 1.0
+
+        table = ChebyshevBlocks(f, 1.0)  # blocks of width 32
+        # forty blocks, queried one window at a time in scrambled order,
+        # so the coefficient store grows past its first capacity
+        windows = [np.linspace(32.0 * j + 1.0, 32.0 * j + 31.0, 7)
+                   for j in np.random.default_rng(3).permutation(np.arange(1, 41))]
+        for w in windows:
+            table(w)
+        n_calls = len(seen)
+        s = np.concatenate(windows)
+        got = table(s)
+        assert len(seen) == n_calls
+        assert np.max(np.abs(got - (np.exp(-1j * s) - 1.0))) <= 1e-13
+
+    def test_rejects_nonpositive_type(self):
+        from cfmoments.quadrature import ChebyshevBlocks
+
+        for tau in (0.0, -1.0, float("nan")):
+            with pytest.raises(DomainError):
+                ChebyshevBlocks(np.exp, tau)
