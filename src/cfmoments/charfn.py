@@ -6,7 +6,10 @@ the integrators exploit: radial symmetry, realness, an accurate
 scale, and computing ``phi(xi) - 1`` by subtraction loses everything near
 the origin), a decreasing modulus envelope for decaying transforms, the
 exact atom list for finitely supported measures, and optional analytic
-derivative / moment oracles.
+derivative / moment oracles.  A product of a radial transform with the
+transform of a finitely supported measure keeps both parts
+(:class:`RadialAtomic`), so the moment engine can average it over spheres
+exactly.
 
 Evaluators are pure and never mutate; instances are safe to share across
 threads and to evaluate in parallel panels.
@@ -45,13 +48,26 @@ __all__ = [
 
 
 @dataclass(frozen=True)
+class RadialAtomic:
+    """The form ``phi(xi) = (1 + g(|xi|)) sum_j w_j exp(-i xi . x_j)``: a
+    radial profile minus one, ``radial_minus_one`` (g), times the transform
+    of the finitely supported measure ``atoms``."""
+
+    radial_minus_one: Callable[[np.ndarray], np.ndarray]
+    atoms: DiscreteMeasure
+
+
+@dataclass(frozen=True)
 class CharFn:
     """An evaluable characteristic function on R^d with metadata.
 
     ``minus_one`` maps an (n, d) array of points to ``phi(xi) - 1`` with
     full accuracy near the origin.  ``envelope``, when present, is a
     decreasing bound on ``sup_{|xi|=r} |phi(xi) - tail_limit|``; transforms
-    of finitely supported measures carry ``atoms`` instead.
+    of finitely supported measures carry ``atoms`` instead.  A non-radial
+    product of a radial transform with an atomic one (the heat flow of a
+    point mass or a sample) carries ``radial_atomic``, the factors'
+    :class:`RadialAtomic` form, next to its ``minus_one``.
     """
 
     dim: int
@@ -66,6 +82,7 @@ class CharFn:
     derivative: Optional[Callable[[tuple, np.ndarray], np.ndarray]] = None
     analytic_moment: Optional[Callable[[float], float]] = None
     osc_scale: float = 0.0
+    radial_atomic: Optional[RadialAtomic] = None
 
     def _points(self, xi) -> tuple[np.ndarray, bool]:
         pts = np.asarray(xi, dtype=float)
@@ -313,23 +330,18 @@ def make_schoenberg(mixing: DiscreteMeasure, p: float, d: int = 1) -> CharFn:
 
 
 def make_product(phi: CharFn, psi: CharFn) -> CharFn:
-    """Pointwise product of transforms: the transform of the convolution."""
+    """Pointwise product of transforms: the transform of the convolution.
+
+    A non-radial product of a radial factor with one that carries atoms, or
+    with one that already carries the radial x atomic form, keeps that form
+    in ``radial_atomic``, whichever the argument order.
+    """
     if phi.dim != psi.dim:
         raise DomainError("dimension mismatch in product")
     radial = phi.is_radial and psi.is_radial
-
-    def minus_one(pts):
-        a = np.asarray(phi.minus_one(pts))
-        b = np.asarray(psi.minus_one(pts))
-        return a * b + a + b
-
     radial_m1 = None
     if radial:
-        def radial_m1(r):
-            a = np.asarray(phi.radial_minus_one(r))
-            b = np.asarray(psi.radial_minus_one(r))
-            return a * b + a + b
-
+        radial_m1 = _product_minus_one(phi.radial_minus_one, psi.radial_minus_one)
     envelope, tail_limit = _product_envelope(phi, psi)
     atoms = None
     if phi.atoms is not None and psi.atoms is not None:
@@ -339,7 +351,7 @@ def make_product(phi: CharFn, psi: CharFn) -> CharFn:
         analytic = atoms.moment
     return CharFn(
         dim=phi.dim,
-        minus_one=minus_one,
+        minus_one=_product_minus_one(phi.minus_one, psi.minus_one),
         is_radial=radial,
         is_real=phi.is_real and psi.is_real,
         label=f"({phi.label})*({psi.label})",
@@ -350,7 +362,33 @@ def make_product(phi: CharFn, psi: CharFn) -> CharFn:
         derivative=None,
         analytic_moment=analytic,
         osc_scale=phi.osc_scale + psi.osc_scale,
+        radial_atomic=None if radial else (_radial_atomic_form(phi, psi)
+                                           or _radial_atomic_form(psi, phi)),
     )
+
+
+def _product_minus_one(f, g):
+    """``(1 + f)(1 + g) - 1`` from two minus-one evaluators, summed so
+    that no 1 is added and cancelled."""
+    def minus_one(x):
+        a = np.asarray(f(x))
+        b = np.asarray(g(x))
+        return a * b + a + b
+    return minus_one
+
+
+def _radial_atomic_form(a: CharFn, b: CharFn) -> RadialAtomic | None:
+    """The :class:`RadialAtomic` form of ``a b`` for a radial ``b`` and an
+    ``a`` that carries atoms or the form; None otherwise."""
+    h = b.radial_minus_one if b.is_radial else None
+    if h is None:
+        return None
+    if a.radial_atomic is not None:
+        return RadialAtomic(_product_minus_one(a.radial_atomic.radial_minus_one, h),
+                            a.radial_atomic.atoms)
+    if a.atoms is not None:
+        return RadialAtomic(h, a.atoms)
+    return None
 
 
 def _product_envelope(phi, psi):

@@ -4,15 +4,19 @@ The moment of order alpha is a normalizing constant times the integral of
 ``Delta_xi^k phi(0) / |xi|^(d+alpha)`` over R^d.  Every difference integral
 of the package (moments, seminorms, membership, the derivative seminorm)
 is built by one builder, :func:`difference_profile`.  It reduces the
-integrand to a one-dimensional :class:`DifferenceProfile` ``D(r)`` over one
-of three geometries: the radial profile of a radially symmetric transform,
-a sphere product rule up to dimension three, or an exact reduction over the
-atoms of a finitely supported measure.  In dimension one the sphere rule
-folds onto one ray, since the transform of a real measure takes conjugate
-values at the nodes +1 and -1; along it, a factor with more atoms than
-the block degree is read from lazily built Chebyshev blocks
-(:class:`~cfmoments.quadrature.ChebyshevBlocks`) that the profile keeps
-for its lifetime.
+integrand to a one-dimensional :class:`DifferenceProfile` ``D(r)`` by one
+of four evaluators: the radial profile of a radially symmetric transform;
+an exact spherical reduction over the atoms of a finitely supported
+measure, whose sphere means are the kernels cos, J0 and sinc of
+``m r |x_j|``; the same reduction times a radial factor ``1 + g(m r)`` for
+the signed differences of radial x atomic products in dimensions two and
+three (the heat flow of a point mass or a sample); and a sphere product
+rule up to dimension three for everything else.  In dimension one the
+sphere rule folds onto one ray, since the transform of a real measure
+takes conjugate values at the nodes +1 and -1; along it, a factor with
+more atoms than the block degree is read from lazily built Chebyshev
+blocks (:class:`~cfmoments.quadrature.ChebyshevBlocks`) that the profile
+keeps for its lifetime.
 
 The integral of ``r**(-1-alpha) D(r)`` is then taken in three regions: an
 analytic power-law head below the origin cut (the difference vanishes like
@@ -136,11 +140,17 @@ def _kernel_minus_one(kernel, y):
     small = y < 0.1
     y2 = y[small] ** 2
     large = y[~small]
+    # five terms, through y**10 (the first omitted one is below 2e-19
+    # relative at y = 0.1), in Horner form after the leading term; that
+    # term is one division, not a product with a rounded 1/6, which keeps
+    # the sum within 2 ulp
     if kernel == "j0":
-        out[small] = -y2 / 4.0 + y2 * y2 / 64.0 - y2 * y2 * y2 / 2304.0
+        out[small] = -y2 / 4.0 + y2 * y2 * (1.0 / 64.0 + y2 * (
+            -1.0 / 2304.0 + y2 * (1.0 / 147456.0 - y2 / 14745600.0)))
         out[~small] = _bessel_j0(np.minimum(large, 1e300)) - 1.0
     else:
-        out[small] = -y2 / 6.0 + y2 * y2 / 120.0 - y2 * y2 * y2 / 5040.0
+        out[small] = -y2 / 6.0 + y2 * y2 * (1.0 / 120.0 + y2 * (
+            -1.0 / 5040.0 + y2 * (1.0 / 362880.0 - y2 / 39916800.0)))
         out[~small] = np.sin(large) / large - 1.0
     return out
 
@@ -488,31 +498,55 @@ def _sphere_terms(coeffs, phi, psi, d, order, part, magnitude, counts):
     return evaluate
 
 
-def _atomic_terms(phi: CharFn, coeffs, counts):
+def _atomic_terms(atoms, coeffs, counts, g=None):
     """Evaluator, frequency and tail over the atom radii: the sphere mean
     of each plane wave is the kernel K(m r rho), so no angular rule is
-    needed."""
-    kernel = {1: "cos", 2: "j0", 3: "sinc"}.get(phi.dim)
+    needed.
+
+    A radial factor ``g`` (profile minus one) makes the transform
+    ``(1 + g(|xi|)) sum_j w_j exp(-i xi . x_j)``, whose sphere mean is
+    exact too, ``(1 + g(m r)) sum_j w_j K(m r rho_j)``; it is summed as
+    ``g (K - 1) + g + (K - 1)`` per atom, which vanishes at r = 0 term by
+    term.  The returned frequency and tail are the atomic law's alone; a
+    caller with a radial factor uses the product's own.
+    """
+    kernel = {1: "cos", 2: "j0", 3: "sinc"}.get(atoms.dim)
     if kernel is None:
         raise DomainError("atomic reduction supports d <= 3 only")
-    rho = phi.atoms.radii()
+    rho = atoms.radii()
     pos = rho > 0.0
-    w_origin = float(phi.atoms.weights[~pos].sum())
+    w_origin = float(atoms.weights[~pos].sum())
     radii = rho[pos]
-    weights = phi.atoms.weights[pos]
+    weights = atoms.weights[pos]
     k = coeffs.size - 1
     ms = np.arange(1, k + 1)
 
-    def evaluate(r, with_magnitude):
-        counts.kernel_evals += r.size * k * radii.size
-        y = r[:, None, None] * (ms[None, :, None] * radii[None, None, :])
-        # K - 1 per factor keeps the origin cancellation exact; the
-        # m = 0 term vanishes identically in this form
-        kv = _kernel_minus_one(kernel, y)
-        D = np.einsum("m,rmj,j->r", coeffs[1:], kv, weights)
-        if not with_magnitude:
-            return D, None
-        return D, np.einsum("m,rmj,j->r", np.abs(coeffs[1:]), np.abs(kv), weights)
+    if g is None:
+        def evaluate(r, with_magnitude):
+            counts.kernel_evals += r.size * k * radii.size
+            y = r[:, None, None] * (ms[None, :, None] * radii[None, None, :])
+            # K - 1 per factor keeps the origin cancellation exact; the
+            # m = 0 term vanishes identically in this form
+            kv = _kernel_minus_one(kernel, y)
+            D = np.einsum("m,rmj,j->r", coeffs[1:], kv, weights)
+            if not with_magnitude:
+                return D, None
+            return D, np.einsum("m,rmj,j->r", np.abs(coeffs[1:]), np.abs(kv), weights)
+    else:
+        w_total = float(atoms.weights.sum())
+
+        def evaluate(r, with_magnitude):
+            counts.kernel_evals += r.size * k * (radii.size + 1)
+            mr = r[:, None] * ms[None, :]
+            gv = np.asarray(g(mr.ravel())).reshape(mr.shape)
+            kv = _kernel_minus_one(kernel, mr[:, :, None] * radii[None, None, :])
+            s = kv @ weights
+            D = (gv * s + gv * w_total + s) @ coeffs[1:]
+            if not with_magnitude:
+                return D, None
+            t = np.abs(kv) @ weights
+            ga = np.abs(gv)
+            return D, (ga * t + ga * w_total + t) @ np.abs(coeffs[1:])
 
     freq = k * radii.max() if radii.size else 0.0
     tail = AtomicTail(coeffs[0] * (1.0 - w_origin), coeffs, radii, weights, kernel)
@@ -563,9 +597,11 @@ def difference_profile(phi: CharFn, psi: CharFn | None = None, *, k: int,
     which makes D the integrand of the seminorms and of membership.
 
     Radial transforms reduce to their profile; signed differences of
-    finitely supported measures reduce exactly over the atoms; everything
-    else uses the sphere product rule up to dimension three, folded onto
-    one ray in dimension one.
+    finitely supported measures reduce exactly over the atoms, and so do
+    those of radial x atomic products (``phi.radial_atomic``) in
+    dimensions two and three, with the product's own tail; everything else
+    uses the sphere product rule up to dimension three, folded onto one
+    ray in dimension one.
     """
     if part not in ("real", "complex"):
         raise DomainError(f"part must be 'real' or 'complex', not {part!r}")
@@ -574,14 +610,18 @@ def difference_profile(phi: CharFn, psi: CharFn | None = None, *, k: int,
     if psi is not None and psi.dim != d:
         raise DomainError("dimension mismatch")
     counts = _EvalCounts()
-    if not magnitude and psi is None and phi.atoms is not None:
-        evaluate, freq, tail = _atomic_terms(phi, coeffs, counts)
+    signed_alone = not magnitude and psi is None
+    if signed_alone and phi.atoms is not None:
+        evaluate, freq, tail = _atomic_terms(phi.atoms, coeffs, counts)
         return DifferenceProfile(evaluate, sphere_area(d), float(freq), magnitude=False,
                                  tail=tail, counts=counts)
     if phi.is_radial and (psi is None or psi.is_radial):
         evaluate = _radial_terms(coeffs, phi.radial_minus_one,
                                  None if psi is None else psi.radial_minus_one,
                                  part, magnitude, counts)
+    elif signed_alone and phi.radial_atomic is not None and d in (2, 3):
+        form = phi.radial_atomic
+        evaluate = _atomic_terms(form.atoms, coeffs, counts, form.radial_minus_one)[0]
     elif d == 1:
         evaluate = _ray_terms(coeffs, phi, psi, part, magnitude, counts)
     elif d <= 3:
@@ -772,8 +812,10 @@ def fulldim_difference_integral(phi: CharFn, k: int, alpha: float,
                                 spec: QuadratureSpec | None = None):
     """``int_{R^d} Delta_xi^k(phi)(0) / |xi|**(d+alpha) dxi`` for d <= 3.
 
-    Product quadrature: a sphere rule in the angles and adaptive panels in
-    the radius, with an exact spherical reduction for atomic measures.
+    Adaptive panels in the radius over the angular mean that
+    :func:`difference_profile` builds: exact for radial transforms, atomic
+    measures and radial x atomic products, a sphere rule in the angles
+    otherwise.
     The result of a valid transform is real up to quadrature error; the
     imaginary residual is reported in the diagnostics.
     """

@@ -16,7 +16,10 @@ the pieces the engine composes:
   of many lower limits from one shared bridge grid.
 
 Panels are summed in breakpoint order, so results do not depend on the
-refinement schedule.
+refinement schedule, up to the last bits of batched transform evaluation:
+BLAS matrix-vector kernels round the trailing rows of a batch differently
+(measured up to 6.7e-16 on atomic transforms), so a panel's values can
+depend at rounding level on which panels share its batch.
 """
 
 from __future__ import annotations

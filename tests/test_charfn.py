@@ -130,6 +130,23 @@ class TestConstructors:
         with pytest.raises(DomainError):
             cf.make_product(g1, cf.make_gaussian(1.0, 2))
 
+    def test_product_radial_atomic_form(self):
+        g, s = cf.make_gaussian(0.5, 2), cf.make_stable(1.5, 0.3, 2)
+        pm = cf.make_point_mass([0.6, -0.8])
+        for prod in (cf.make_product(g, pm), cf.make_product(pm, g)):
+            form = prod.radial_atomic
+            assert form.atoms is pm.atoms
+            assert form.radial_minus_one is g.radial_minus_one
+        nested = cf.make_product(s, cf.make_product(pm, g))
+        xs = np.random.default_rng(2).normal(size=(40, 2))
+        r = np.sqrt((xs**2).sum(axis=1))
+        form_values = (1.0 + nested.radial_atomic.radial_minus_one(r)) * pm.evaluate(xs)
+        assert np.abs(form_values - nested.evaluate(xs)).max() < 1e-15
+        # radial products and products of atomic laws keep no form
+        assert cf.make_product(g, cf.make_point_mass([0.0, 0.0])).radial_atomic is None
+        assert cf.make_product(g, s).radial_atomic is None
+        assert cf.make_product(pm, pm).radial_atomic is None
+
     def test_schoenberg(self):
         nu = DiscreteMeasure(np.array([[1.0]]), np.array([1.0]))
         s = cf.make_schoenberg(nu, 1.5, 2)

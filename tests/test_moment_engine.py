@@ -455,10 +455,12 @@ class TestKernelMinusOne:
             if kernel == "cos":
                 ref = -2.0 * np.sin(y / 2.0) ** 2
             elif kernel == "j0":
-                series = -y2 / 4.0 + y2 * y2 / 64.0 - y2 * y2 * y2 / 2304.0
+                series = -y2 / 4.0 + y2 * y2 * (1.0 / 64.0 + y2 * (
+                    -1.0 / 2304.0 + y2 * (1.0 / 147456.0 - y2 / 14745600.0)))
                 ref = np.where(y < 0.1, series, j0(np.minimum(y, 1e300)) - 1.0)
             else:
-                series = -y2 / 6.0 + y2 * y2 / 120.0 - y2 * y2 * y2 / 5040.0
+                series = -y2 / 6.0 + y2 * y2 * (1.0 / 120.0 + y2 * (
+                    -1.0 / 5040.0 + y2 * (1.0 / 362880.0 - y2 / 39916800.0)))
                 safe = np.where(y == 0.0, 1.0, y)
                 ref = np.where(y < 0.1, series, np.sin(safe) / safe - 1.0)
         with warnings.catch_warnings():
@@ -466,6 +468,19 @@ class TestKernelMinusOne:
             out = me._kernel_minus_one(kernel, y)
         assert out.shape == y.shape
         assert np.array_equal(out, ref)
+
+    @pytest.mark.parametrize("kernel", ["j0", "sinc"])
+    def test_series_within_two_ulp(self, kernel):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.prec = 120
+        rng = np.random.default_rng(6)
+        y = np.concatenate([np.geomspace(1e-8, 0.1, 200, endpoint=False), [0.0999999],
+                            np.exp(rng.uniform(math.log(1e-8), math.log(0.1), 800))])
+        out = me._kernel_minus_one(kernel, y)
+        for yi, oi in zip(y, out):
+            x = mpmath.mpf(float(yi))
+            ref = mpmath.besselj(0, x) - 1 if kernel == "j0" else mpmath.sin(x) / x - 1
+            assert abs(mpmath.mpf(float(oi)) - ref) <= 2 * np.spacing(abs(float(ref)))
 
 
 def _two_node_D(coeffs, phi, psi, r, part, magnitude):
@@ -636,3 +651,85 @@ class TestEvaluatorCounts:
         _, _, second = profile.integrate(0.5, spec)
         assert first["points"] == second["points"] > 0
         assert profile.counts.points == 2 * first["points"]
+
+
+class TestRadialAtomicReduction:
+    """Signed moments of radial x atomic products in d = 2, 3, reduced over
+    the atoms, against the sphere rule and the Gaussian closed form."""
+
+    @staticmethod
+    def _laws(d):
+        rng = np.random.default_rng(20 + d)
+        a = rng.normal(size=d)
+        pts = rng.normal(scale=0.7, size=(20, d))
+        pts[0] = 0.0  # an atom at the origin
+        return {"point": cf.make_point_mass(a / np.linalg.norm(a)),
+                "sample20": cf.make_empirical(pts)}
+
+    @staticmethod
+    def _sphere_rule(phi):
+        import dataclasses
+
+        return dataclasses.replace(phi, radial_atomic=None)
+
+    # the order-1.5 moment of the p = 1.5 flow is infinite
+    @pytest.mark.parametrize("p, alpha", [(2.0, 0.5), (2.0, 1.5), (1.5, 0.5)])
+    @pytest.mark.parametrize("law", ["point", "sample20"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_sphere_rule(self, d, law, p, alpha):
+        from cfmoments.heat import evolve
+
+        ev = evolve(self._laws(d)[law], p, 0.5)
+        assert ev.radial_atomic is not None
+        got = me.absolute_moment(ev, alpha)
+        ref = me.absolute_moment(self._sphere_rule(ev), alpha)
+        assert got.value == pytest.approx(ref.value, rel=1e-9)
+        assert got.diagnostics["n_panels"] == ref.diagnostics["n_panels"]
+        assert got.diagnostics["tail_start"] == ref.diagnostics["tail_start"]
+
+    def test_shifted_gaussian_complex_formula(self):
+        sg = cf.make_product(cf.make_gaussian(1.0, 2), cf.make_point_mass([1.0, 0.0]))
+        got = me.absolute_moment(sg, 0.5, k=1, formula="M12")
+        ref = me.absolute_moment(self._sphere_rule(sg), 0.5, k=1, formula="M12")
+        assert got.value == pytest.approx(ref.value, rel=1e-9)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_gaussian_closed_form(self, d, alpha):
+        # E|a + Z|^alpha for Z ~ N(0, 2t I)
+        from scipy.special import hyp1f1
+
+        t = 0.5
+        a = np.array([0.6, -0.8, 0.0][:d]) * 1.3
+        ev = cf.make_product(cf.make_gaussian(t, d), cf.make_point_mass(a))
+        exact = ((4.0 * t) ** (alpha / 2.0) * gamma((d + alpha) / 2.0) / gamma(d / 2.0)
+                 * hyp1f1(-alpha / 2.0, d / 2.0, -(a @ a) / (4.0 * t)))
+        res = me.absolute_moment(ev, alpha)
+        err = abs(res.value - exact)
+        assert err <= 1e-12 * exact
+        assert err <= res.error_estimate + 1e-14 * exact
+
+    def test_argument_orders_bit_identical(self):
+        g = cf.make_stable(1.5, 0.5, 3)
+        pm = cf.make_point_mass([0.3, -0.4, 0.8])
+        left = me.absolute_moment(cf.make_product(g, pm), 0.5)
+        right = me.absolute_moment(cf.make_product(pm, g), 0.5)
+        assert left.value == right.value
+        assert left.error_estimate == right.error_estimate
+
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_evolve_twice(self, p):
+        from cfmoments.heat import evolve
+
+        pm = cf.make_point_mass([0.5, 0.5, -0.2])
+        twice = evolve(evolve(pm, p, 0.4), p, 0.8)
+        assert twice.radial_atomic is not None
+        once = evolve(pm, p, 1.2)
+        got = me.absolute_moment(twice, 0.5).value
+        assert got == pytest.approx(me.absolute_moment(once, 0.5).value, rel=1e-12)
+
+    def test_kernel_evals(self):
+        ev = cf.make_product(cf.make_gaussian(0.5, 3), cf.make_point_mass([0.0, 0.6, 0.8]))
+        res = me.absolute_moment(ev, 1.5)
+        diag = res.diagnostics
+        assert 0 < diag["kernel_evals"] <= 2 * res.k_used * diag["points"]
