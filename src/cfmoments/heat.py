@@ -4,7 +4,10 @@ Diffusion with exponent p multiplies the transform by ``exp(-t |xi|**p)``,
 so evolution, moment propagation, and distance decay all live naturally on
 the transform side.  Physical-space quantities (sup-norm distances between
 solutions, decay-rate fits) are restricted to dimension one, where the
-inversion integral truncates cleanly under the diffusion factor.
+inversion integral truncates cleanly under the diffusion factor.  The
+inversion is a sum of plane waves in x over fixed frequency nodes, so a
+uniform x grid is evaluated as one separable matrix product
+(:func:`~cfmoments.quadrature.plane_wave_grid`).
 """
 
 from __future__ import annotations
@@ -18,7 +21,12 @@ from .charfn import CharFn, make_product, make_stable
 from .errors import DomainError
 from .metrics import GridSpec, integral_distance
 from .moment_engine import MomentResult, absolute_moment
-from .quadrature import QuadratureSpec, fixed_panel_nodes, oscillatory_breakpoints
+from .quadrature import (
+    QuadratureSpec,
+    fixed_panel_nodes,
+    oscillatory_breakpoints,
+    plane_wave_grid,
+)
 from .specfun import gamma
 
 __all__ = [
@@ -107,7 +115,13 @@ def derivative_sup_distance(phi_a: CharFn, phi_b: CharFn | None, p: float, t: fl
     Fourier inversion evaluated by quadrature on a frequency window whose
     diffusion-weighted remainder is below 1e-10; ``phi_b=None`` compares
     against the zero function (the solution's own size).  The x grid
-    defaults to a symmetric window scaled by the diffusion length.
+    defaults to 513 uniform points on a symmetric window scaled by the
+    diffusion length; a given grid must be non-empty and finite.  Every x
+    is inverted against one batch of frequency nodes by
+    :func:`~cfmoments.quadrature.plane_wave_grid`: the default grid is
+    split as ``x0 + dx (B b + c)`` with B about its square root, so the
+    phases cost (513 / B + B) exponentials per node, and a given grid or
+    the refined argmax pays one per point and node.
     """
     if phi_a.dim != 1 or (phi_b is not None and phi_b.dim != 1):
         raise DomainError("physical-space distances are implemented for d = 1")
@@ -117,8 +131,19 @@ def derivative_sup_distance(phi_a: CharFn, phi_b: CharFn | None, p: float, t: fl
     L = _inversion_cutoff(p, t)
     if x_grid is None:
         width = 8.0 * t ** (1.0 / p) + 4.0 * (phi_a.osc_scale + (phi_b.osc_scale if phi_b else 0.0))
-        x_grid = np.linspace(-width, width, 513)
-    x_grid = np.asarray(x_grid, dtype=float)
+        n = 513
+        step = 2.0 * width / (n - 1)
+        block = math.isqrt(n - 1) + 1
+        starts = -width + step * block * np.arange(-(-n // block))
+        offsets = step * np.arange(block)
+        x_grid = np.linspace(-width, width, n)
+    else:
+        x_grid = np.asarray(x_grid, dtype=float)
+        if x_grid.size == 0:
+            raise DomainError("x_grid is empty")
+        if not np.all(np.isfinite(x_grid)):
+            raise DomainError("x_grid must be finite")
+        starts, offsets = x_grid, np.zeros(1)
 
     # fixed composite Kronrod panels: one evaluation batch serves every x
     freq = max(np.abs(x_grid).max(), phi_a.osc_scale + (phi_b.osc_scale if phi_b else 0.0))
@@ -131,12 +156,13 @@ def derivative_sup_distance(phi_a: CharFn, phi_b: CharFn | None, p: float, t: fl
         vals = vals - (np.asarray(phi_b.minus_one(pts)) + 1.0)
     vals = vals * np.exp(-t * xi**p) * (1j * xi) ** sigma * w
 
-    def inversion(xs):
-        # f(x) = (1/pi) Re int_0^inf e^{i x xi} (...) dxi by Hermitian symmetry
-        phases = np.exp(1j * np.outer(np.atleast_1d(xs), xi))
-        return np.abs(np.real(phases @ vals)) / math.pi
+    def inversion(starts, offsets):
+        # f(x) = (1/pi) Re int_0^inf e^{i x xi} (...) dxi by Hermitian symmetry;
+        # the grid's columns are the starts, so x runs along its transpose
+        grid = plane_wave_grid(xi, vals, starts, np.exp(1j * np.outer(offsets, xi)))
+        return np.abs(grid.real.T.ravel()) / math.pi
 
-    out = inversion(x_grid)
+    out = inversion(starts, offsets)[:x_grid.size]
     i = int(np.argmax(out))
     best = float(out[i])
     if 0 < i < x_grid.size - 1:
@@ -146,7 +172,7 @@ def derivative_sup_distance(phi_a: CharFn, phi_b: CharFn | None, p: float, t: fl
         if denom < 0.0:
             shift = 0.5 * (y0 - y2) / denom
             x_ref = x_grid[i] + shift * (x_grid[i + 1] - x_grid[i])
-            best = max(best, float(inversion(np.array([x_ref]))[0]))
+            best = max(best, float(inversion(np.array([x_ref]), np.zeros(1))[0]))
     return best
 
 

@@ -14,9 +14,10 @@ three (the heat flow of a point mass or a sample); and a sphere product
 rule up to dimension three for everything else.  In dimension one the
 sphere rule folds onto one ray, since the transform of a real measure
 takes conjugate values at the nodes +1 and -1; along it, a factor with
-more atoms than the block degree is read from lazily built Chebyshev
-blocks (:class:`~cfmoments.quadrature.ChebyshevBlocks`) that the profile
-keeps for its lifetime.
+more than 48 atoms is read from lazily built Chebyshev blocks
+(:class:`~cfmoments.quadrature.ChebyshevBlocks`) that the profile keeps
+for its lifetime, each built from the factor's atoms at one complex
+exponential per atom.
 
 The integral of ``r**(-1-alpha) D(r)`` is then taken in three regions: an
 analytic power-law head below the origin cut (the difference vanishes like
@@ -31,7 +32,8 @@ mean for atom pairs, a stabilized window around a known or estimated
 limit, or the exact Fourier series of |sin| for a pair of single atoms.
 Each pass reports its cost with its diagnostics: the radii at which D was
 evaluated (``points``) and the kernel evaluations behind them
-(``kernel_evals``).
+(``kernel_evals``: one per atom and directly evaluated point, one per atom
+and built Chebyshev block).
 """
 
 from __future__ import annotations
@@ -79,6 +81,8 @@ __all__ = [
 _INT_TOL = 1e-9
 _GUARD_BAND = 1e-6
 _SLOPE_MARGIN = 1e-3
+# a d = 1 ray reads a factor with more atoms than this from Chebyshev blocks
+_TABLE_ATOMS = 48
 
 
 @dataclass
@@ -294,8 +298,9 @@ class SinSeriesTail:
 @dataclass
 class _EvalCounts:
     """Evaluator cost of a profile: radii at which D was evaluated, and
-    kernel evaluations (one per atom and point, one per point of a
-    formula transform), direct or spent filling Chebyshev blocks."""
+    kernel evaluations: one per atom and point evaluated directly, one per
+    point of a formula transform, and one per atom for each Chebyshev block
+    of a ray table (one complex exponential per atom builds a block)."""
 
     points: int = 0
     kernel_evals: int = 0
@@ -388,7 +393,9 @@ def _factor_cost(phi: CharFn) -> int:
     A transform is costed by the ``atoms`` it carries, not by how its
     ``minus_one`` is composed: a product of atomic laws counts its n m
     convolved atoms although it evaluates its two factors (n + m), and a
-    product with a formula factor carries no atoms and counts one.
+    product with a formula factor carries no atoms and counts one.  The
+    same count is the cost of one Chebyshev block of the factor's ray
+    table, which spends one complex exponential per atom.
     """
     return phi.atoms.size if phi.atoms is not None else 1
 
@@ -403,24 +410,27 @@ def _counted_minus_one(phi: CharFn, counts):
 def _ray_reader(phi: CharFn, counts):
     """``phi(s) - 1`` along the positive axis of d = 1, for s >= 0.
 
-    A factor costing more kernel evaluations per point than the table's
-    degree is entire of exponential type tau = max |x_j|, so it is read
-    from Chebyshev blocks built as queries land and kept for the reader's
-    lifetime; radii below the first block, where the origin descent and
-    its noise probe live, are evaluated directly.  Atoms all at the origin
-    (tau = 0) give a constant, read directly.
+    A factor costing more than ``_TABLE_ATOMS`` kernel evaluations per
+    point is the plane-wave sum ``sum_j w_j (exp(-i x_j s) - 1)``, entire
+    of exponential type tau = max |x_j|, so it is read from Chebyshev
+    blocks built from its atoms as queries land and kept for the reader's
+    lifetime.  Each radius below the first block, where the origin descent
+    and its noise probe live, is evaluated directly and charged one kernel
+    evaluation per atom; the caller charges the blocks, one per atom and
+    block built.  Atoms all at the origin (tau = 0) give a constant, read
+    directly.
     """
     minus_one = _counted_minus_one(phi, counts)
 
     def direct(s):
         return minus_one(s[:, None])
 
-    if _factor_cost(phi) <= ChebyshevBlocks.DEGREE:
+    if _factor_cost(phi) <= _TABLE_ATOMS:
         return direct
-    tau = float(phi.atoms.radii().max())
-    if tau == 0.0:
+    x = phi.atoms.points[:, 0]
+    if not np.any(x):
         return direct
-    return ChebyshevBlocks(direct, tau)
+    return ChebyshevBlocks(direct, -x, phi.atoms.weights)
 
 
 def _ray_terms(coeffs, phi, psi, part, magnitude, counts):
@@ -429,12 +439,23 @@ def _ray_terms(coeffs, phi, psi, part, magnitude, counts):
     Transforms of real measures satisfy ``phi(-s) = conj phi(s)``, so the
     nodes +1 and -1 carry conjugate values: the signed mean is the real
     part of the +1 node and the magnitude mean is that node's magnitude,
-    the same numbers the two-node rule gives, from one ray.
+    the same numbers the two-node rule gives, from one ray.  A factor read
+    from Chebyshev blocks is charged one kernel evaluation per atom for each
+    block that an evaluation builds.
     """
     f = _ray_reader(phi, counts)
     h = None if psi is None else _ray_reader(psi, counts)
+    tables = [(reader, _factor_cost(chi)) for reader, chi in ((f, phi), (h, psi))
+              if isinstance(reader, ChebyshevBlocks)]
 
     def evaluate(r, with_magnitude):
+        built = [table.blocks_built for table, _ in tables]
+        D, terms = ray_sum(r, with_magnitude)
+        for (table, cost), before in zip(tables, built):
+            counts.kernel_evals += (table.blocks_built - before) * cost
+        return D, terms
+
+    def ray_sum(r, with_magnitude):
         acc = np.zeros(r.size, dtype=complex if magnitude else float)
         terms = 0.0
         for m in range(1, coeffs.size):

@@ -118,6 +118,47 @@ class TestSupDistance:
         dinf = sup_distance(DELTA, pm).value
         assert measured <= ht.sup_decay_constant(0, 2.0, 1) * t**-0.5 * dinf * (1 + 1e-9)
 
+    @staticmethod
+    def _per_x_reference(phi, p, t, sigma, x_grid):
+        # the inversion as one exp(i x xi) row per x, grid argmax refined once
+        from cfmoments.quadrature import fixed_panel_nodes, oscillatory_breakpoints
+
+        L = ht._inversion_cutoff(p, t)
+        xi, w = fixed_panel_nodes(oscillatory_breakpoints(
+            1e-9, L, max(np.abs(x_grid).max(), phi.osc_scale), per_octave=3))
+        vals = (np.asarray(phi.minus_one(xi.reshape(-1, 1))) + 1.0) \
+            * np.exp(-t * xi**p) * (1j * xi) ** sigma * w
+
+        def inversion(xs):
+            return np.abs(np.real(np.exp(1j * np.outer(xs, xi)) @ vals)) / math.pi
+
+        out = inversion(x_grid)
+        i = int(np.argmax(out))
+        best = float(out[i])
+        if 0 < i < x_grid.size - 1:
+            y0, y1, y2 = out[i - 1], out[i], out[i + 1]
+            denom = y0 - 2.0 * y1 + y2
+            if denom < 0.0:
+                x_ref = x_grid[i] + 0.5 * (y0 - y2) / denom * (x_grid[i + 1] - x_grid[i])
+                best = max(best, float(inversion(np.array([x_ref]))[0]))
+        return best
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("sigma", [0, 1])
+    def test_inversion_matches_per_x_reference(self, p, sigma):
+        t = 1.0
+        default = np.linspace(-8.0, 8.0, 513)  # the default window at t = 1
+        user = np.sort(np.random.default_rng(4).uniform(-3.0, 3.0, 200))
+        for x_grid in (None, user):
+            got = ht.derivative_sup_distance(DELTA, None, p, t, sigma, x_grid=x_grid)
+            ref = self._per_x_reference(DELTA, p, t, sigma, default if x_grid is None else user)
+            assert abs(got - ref) <= 1e-13 * ref
+
+    def test_rejects_empty_or_nonfinite_grid(self):
+        for x_grid in ([], np.array([0.0, np.nan, 1.0]), [0.0, np.inf]):
+            with pytest.raises(DomainError):
+                ht.derivative_sup_distance(DELTA, None, 2.0, 1.0, 0, x_grid=x_grid)
+
     def test_dimension_restriction(self):
         g2 = cf.make_gaussian(1.0, 2)
         with pytest.raises(DomainError):

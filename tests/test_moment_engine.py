@@ -547,13 +547,33 @@ class TestOneRayFold:
         b = counted(cf.make_empirical(rng.normal(size=100)))
         profile = me.difference_profile(a, b, k=1, spec=QuadratureSpec(), part="complex",
                                         magnitude=True)
-        # every radius past the first block of both tables
+        # every radius past the first block of both tables: the blocks are
+        # built from the atoms, and no radius is evaluated directly
         r = np.linspace(40.0, 300.0, 3000)
         first = profile.D(r)
-        n_calls = len(calls)
-        assert n_calls > 0
+        built = profile.counts.kernel_evals
+        assert built > 0
+        assert calls == []
         assert np.array_equal(profile.D(r), first)
-        assert len(calls) == n_calls
+        assert profile.counts.kernel_evals == built
+        assert calls == []
+
+    def test_table_cost_counts_blocks_and_direct_points(self):
+        phi = cf.make_empirical(np.random.default_rng(15).normal(size=100))
+        counts = me._EvalCounts()
+        evaluate = me._ray_terms(np.array([0.0, 1.0]), phi, None, "complex", True, counts)
+        width = 8.0 / np.abs(phi.atoms.points).max()
+        blocks = set()
+        n_direct = 0
+        for s in (np.geomspace(1e-6, 60.0, 500), np.linspace(0.0, 400.0, 801),
+                  np.array([0.5 * width]), np.linspace(100.0, 500.0, 33)):
+            evaluate(s, False)
+            blocks.update(np.floor(s[s >= width] / width).astype(int).tolist())
+            n_direct += int(np.count_nonzero(s < width))
+        # one complex exponential per atom builds a block, and a radius
+        # below the first block costs one kernel per atom
+        assert blocks
+        assert counts.kernel_evals == (len(blocks) + n_direct) * 100
 
     def test_lacunary_12_stays_direct(self):
         lac = cf.make_discrete(cf.lacunary_measure(1.0, 12))

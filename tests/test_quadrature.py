@@ -174,7 +174,32 @@ class TestAdaptivePanelsNearDuplicates:
         assert ok and abs(val - ref) <= 1e-14 * abs(ref)
 
 
+class TestPlaneWaveGrid:
+    def test_matches_direct_sum(self):
+        from cfmoments.quadrature import plane_wave_grid
+
+        rng = np.random.default_rng(21)
+        freqs = rng.uniform(-5.0, 5.0, 70)
+        amps = rng.normal(size=70) + 1j * rng.normal(size=70)
+        starts = rng.uniform(-300.0, 300.0, 40)
+        offsets = rng.uniform(0.0, 3.0, 9)
+        got = plane_wave_grid(freqs, amps, starts, np.exp(1j * np.outer(offsets, freqs)))
+        x = offsets[:, None] + starts[None, :]
+        ref = np.exp(1j * x[:, :, None] * freqs) @ amps
+        assert got.shape == (9, 40)
+        # both sides round each phase by up to eps |f| (|s| + |o|): the helper
+        # in f s and f o, the reference in s + o and f (s + o); the
+        # exponentials, products and the 70-term sum add a few ulp of |amps|
+        eps = np.finfo(float).eps
+        phase = np.abs(freqs) * (np.abs(starts)[None, :, None] + offsets[:, None, None])
+        bound = eps * (np.abs(amps) * (2.0 * phase + 80.0)).sum(axis=-1)
+        assert np.all(np.abs(got - ref) <= bound)
+
+
 class TestChebyshevBlocks:
+    # the one atom x = 1 with weight 1: exactly exp(-1j s) - 1, of type 1,
+    # in blocks of width 8
+
     def test_blocks_built_once(self):
         from cfmoments.quadrature import ChebyshevBlocks
 
@@ -184,19 +209,22 @@ class TestChebyshevBlocks:
             seen.append(s.size)
             return np.exp(-1j * s) - 1.0
 
-        table = ChebyshevBlocks(f, 1.0)  # blocks of width 32
+        table = ChebyshevBlocks(f, [-1.0], [1.0])
+        built = []
+        build = table._build
+        table._build = lambda blocks: (built.extend(blocks.tolist()), build(blocks))
         s = np.linspace(40.0, 200.0, 1000)
         first = table(s)
-        n_calls = len(seen)
+        # blocks 5..25 hold s in [40, 208), each built once from the atom
+        assert sorted(built) == list(range(5, 26))
         assert np.array_equal(table(s), first)
-        assert len(seen) == n_calls
-        # blocks 1..6 hold s in [32, 224): six blocks of 49 nodes each
-        assert sum(seen) == 6 * 49
+        assert sorted(built) == list(range(5, 26))
+        assert seen == []
 
     def test_direct_below_first_block(self):
         from cfmoments.quadrature import ChebyshevBlocks
 
-        table = ChebyshevBlocks(lambda s: np.expm1(-1j * s), 4.0)  # width 8
+        table = ChebyshevBlocks(lambda s: np.expm1(-1j * s), [-1.0], [1.0])  # width 8
         s = np.array([0.0, 1e-300, 1e-8, 0.5, 7.999])
         assert np.array_equal(table(s), np.expm1(-1j * s))
 
@@ -209,22 +237,48 @@ class TestChebyshevBlocks:
             seen.append(s.size)
             return np.exp(-1j * s) - 1.0
 
-        table = ChebyshevBlocks(f, 1.0)  # blocks of width 32
-        # forty blocks, queried one window at a time in scrambled order,
-        # so the coefficient store grows past its first capacity
+        table = ChebyshevBlocks(f, [-1.0], [1.0])
+        built = []
+        build = table._build
+        table._build = lambda blocks: (built.extend(blocks.tolist()), build(blocks))
+        # windows over 160 blocks, queried in scrambled order, so the
+        # coefficient store grows past its first capacity
         windows = [np.linspace(32.0 * j + 1.0, 32.0 * j + 31.0, 7)
                    for j in np.random.default_rng(3).permutation(np.arange(1, 41))]
         for w in windows:
             table(w)
-        n_calls = len(seen)
+        # window j lands in blocks 4j..4j+3, each built once
+        assert sorted(built) == list(range(4, 164))
+        assert table.blocks_built == 160
         s = np.concatenate(windows)
         got = table(s)
-        assert len(seen) == n_calls
+        assert sorted(built) == list(range(4, 164))
+        assert seen == []
         assert np.max(np.abs(got - (np.exp(-1j * s) - 1.0))) <= 1e-13
+
+    def test_build_batches_within_budget(self):
+        from cfmoments.quadrature import ChebyshevBlocks
+
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-1.0, 1.0, 10)
+        x[0] = 1.0  # type 1: blocks of width 8
+        w = np.full(10, 0.1)
+        table = ChebyshevBlocks(None, -x, w)
+        table._BUDGET = 30  # three blocks of ten atoms per batch
+        batches = []
+        build = table._build
+        table._build = lambda blocks: (batches.append(blocks.size), build(blocks))
+        s = np.linspace(8.0, 807.0, 2000)  # blocks 1..100
+        got = table(s)
+        # 2000 points allow 80 blocks per batch; the budget allows three
+        assert batches == [3] * 33 + [1]
+        assert table.blocks_built == 100
+        ref = np.exp(-1j * np.outer(s, x)) @ w - 1.0
+        assert np.max(np.abs(got - ref)) <= 1e-13
 
     def test_rejects_nonpositive_type(self):
         from cfmoments.quadrature import ChebyshevBlocks
 
-        for tau in (0.0, -1.0, float("nan")):
+        for freqs in ([0.0], [0.0, -0.0], [float("nan")], [float("inf")]):
             with pytest.raises(DomainError):
-                ChebyshevBlocks(np.exp, tau)
+                ChebyshevBlocks(np.exp, freqs, np.ones(len(freqs)))
