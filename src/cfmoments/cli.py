@@ -60,6 +60,15 @@ def _field(obj, key, convert=None, default=_REQUIRED):
         raise DomainError(f"config field {key!r}: {exc}") from exc
 
 
+def _integer(v):
+    """An integral JSON number; bools and fractions are refused, not cut."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError(f"expected an integer, got {v!r}")
+    if not float(v).is_integer():
+        raise ValueError(f"expected an integer, got {v!r}")
+    return int(v)
+
+
 def _floats(v):
     return np.asarray(v, dtype=float)
 
@@ -79,7 +88,7 @@ def build_measure(spec_dict) -> charfn.CharFn:
     if not isinstance(spec_dict, dict) or "family" not in spec_dict:
         raise DomainError("measure spec must be an object with a 'family' key")
     fam = spec_dict["family"]
-    d = _field(spec_dict, "d", int, 1)
+    d = _field(spec_dict, "d", _integer, 1)
     if fam == "gaussian":
         return charfn.make_gaussian(_field(spec_dict, "t", float, 1.0), d)
     if fam == "stable":
@@ -106,7 +115,7 @@ def build_measure(spec_dict) -> charfn.CharFn:
         return charfn.make_empirical(pts)
     if fam == "pathological":
         m = lacunary_measure(
-            _field(spec_dict, "alpha", float), _field(spec_dict, "terms", int, 8), d
+            _field(spec_dict, "alpha", float), _field(spec_dict, "terms", _integer, 8), d
         )
         return charfn.make_discrete(m, label=f"pathological(K={m.size})")
     if fam == "product":
@@ -157,7 +166,7 @@ def run_moment(config, spec, seed):
         phi,
         alpha,
         spec,
-        k=_field(config, "k", int, None),
+        k=_field(config, "k", _integer, None),
         formula=config.get("formula"),
         method=config.get("method", "auto"),
     )
@@ -177,7 +186,7 @@ def run_metric(config, spec, seed):
     kind = _field(config, "kind", str)
     a = build_measure(_field(config, "a"))
     b = build_measure(_field(config, "b"))
-    k = _field(config, "k", int, 1)
+    k = _field(config, "k", _integer, 1)
     if kind == "d_inf":
         r = metrics.sup_distance(a, b)
     elif kind == "d_beta":
@@ -208,7 +217,7 @@ def run_metric(config, spec, seed):
 def run_membership(config, spec, seed):
     phi = build_measure(_field(config, "measure"))
     alpha = _field(config, "alpha", float)
-    k = _field(config, "k", int, 1)
+    k = _field(config, "k", _integer, 1)
     rep = metrics.membership(phi, alpha, k, spec)
     row = {
         "measure": phi.label,
@@ -241,7 +250,7 @@ def run_heat(config, spec, seed):
         return rows
     if check == "decay":
         other = build_measure(_field(config, "b"))
-        sigma = _field(config, "sigma", int, 0)
+        sigma = _field(config, "sigma", _integer, 0)
         times = _field(config, "t", _float_list, [4.0, 8.0, 16.0, 32.0, 64.0])
         rep = heat.decay_rate_check(initial, other, p, alpha, sigma, times, spec)
         return [{
@@ -277,14 +286,14 @@ def run_convolve(config, spec, seed):
 
 def run_sample(config, spec, seed):
     fam = _field(config, "family", str)
-    n = _field(config, "n", int)
-    use_seed = _field(config, "seed", int, seed if seed is not None else 0)
+    n = _field(config, "n", _integer)
+    use_seed = _field(config, "seed", _integer, seed if seed is not None else 0)
     if fam == "gaussian":
         s = mc_oracle.sample_gaussian(
-            _field(config, "t", float, 1.0), _field(config, "d", int, 1), n, use_seed
+            _field(config, "t", float, 1.0), _field(config, "d", _integer, 1), n, use_seed
         )
     elif fam == "cauchy":
-        s = mc_oracle.sample_isotropic_cauchy(_field(config, "d", int, 1), n, use_seed)
+        s = mc_oracle.sample_isotropic_cauchy(_field(config, "d", _integer, 1), n, use_seed)
     elif fam == "stable":
         s = mc_oracle.sample_stable_1d(_field(config, "p", float), n, use_seed)
     elif fam == "linnik":

@@ -5,16 +5,18 @@ The moment of order alpha is a normalizing constant times the integral of
 of the package (moments, seminorms, membership, the derivative seminorm)
 is built by one builder, :func:`difference_profile`.  It reduces the
 integrand to a one-dimensional :class:`DifferenceProfile` ``D(r)`` by one
-of four evaluators: the radial profile of a radially symmetric transform;
-an exact spherical reduction over the atoms of a finitely supported
-measure, whose sphere means are the kernels cos, J0 and sinc of
-``m r |x_j|``; the same reduction times a radial factor ``1 + g(m r)`` for
-the signed differences of radial x atomic products in dimensions two and
-three (the heat flow of a point mass or a sample); and a sphere product
-rule up to dimension three for everything else.  In dimension one the
-sphere rule folds onto one ray, since the transform of a real measure
-takes conjugate values at the nodes +1 and -1; along it, a factor with
-more than 48 atoms is read from lazily built Chebyshev blocks
+of two evaluators.  Signed differences of a finitely supported measure
+reduce exactly over its atoms, whose sphere means are the kernels cos, J0
+and sinc of ``m r |x_j|``; so do those of radial x atomic products in
+dimensions two and three (the heat flow of a point mass or a sample),
+times a radial factor ``1 + g(m r)``.  Everything else is one loop over
+the difference terms, the angular mean of ``(phi - psi)(m r u)`` over a
+rule of nodes u, fed by factor readers that each charge their own cost:
+the radial profile of a radially symmetric transform on one node, a
+sphere product rule in dimensions two and three, and in dimension one a
+single ray, since the transform of a real measure takes conjugate values
+at the nodes +1 and -1.  Along the ray, a factor with more than 48 atoms
+is read from lazily built Chebyshev blocks
 (:class:`~cfmoments.quadrature.ChebyshevBlocks`) that the profile keeps
 for its lifetime, each built from the factor's atoms at one complex
 exponential per atom.
@@ -32,8 +34,8 @@ mean for atom pairs, a stabilized window around a known or estimated
 limit, or the exact Fourier series of |sin| for a pair of single atoms.
 Each pass reports its cost with its diagnostics: the radii at which D was
 evaluated (``points``) and the kernel evaluations behind them
-(``kernel_evals``: one per atom and directly evaluated point, one per atom
-and built Chebyshev block).
+(``kernel_evals``: one per atom, or one for a formula, and point evaluated
+directly, one per atom and built Chebyshev block).
 """
 
 from __future__ import annotations
@@ -298,9 +300,12 @@ class SinSeriesTail:
 @dataclass
 class _EvalCounts:
     """Evaluator cost of a profile: radii at which D was evaluated, and
-    kernel evaluations: one per atom and point evaluated directly, one per
-    point of a formula transform, and one per atom for each Chebyshev block
-    of a ray table (one complex exponential per atom builds a block)."""
+    kernel evaluations.  Each factor reader charges its own: one per point
+    of a radial profile, one per atom (one for a formula) and point or
+    sphere node evaluated directly, and one per atom for each Chebyshev
+    block of a ray table (one complex exponential per atom builds a
+    block).  The atomic reduction charges one per atom, m and radius, and
+    one more per m and radius for a radial factor."""
 
     points: int = 0
     kernel_evals: int = 0
@@ -367,22 +372,45 @@ def _reduce_part(acc, part, magnitude):
     return np.abs(vals) if magnitude else vals
 
 
-def _radial_terms(coeffs, g, h, part, magnitude, counts):
-    """Evaluator of ``sum_m c_m (g - h)(m r)`` for radial profiles g, h."""
+def _mean_terms(coeffs, f, h, rule, part, magnitude):
+    """Evaluator of the angular mean of ``sum_m c_m (f - h)(m r)``.
+
+    ``f`` and ``h`` (None for the constant transform 1) are factor readers:
+    each maps the radii ``m r`` to its factor minus one at every node of
+    ``rule`` and charges its own kernel evaluations.  ``rule`` is None for
+    one node, which serves the radial profile and the d = 1 ray, or the
+    sphere rule's ``(weights, area)``.  Signed terms are combined per m, and
+    on one node the signed mean is the real part: the d = 1 nodes +1 and -1
+    carry conjugate values, since ``phi(-s) = conj phi(s)`` for a real
+    measure.  With ``magnitude`` the absolute value is taken per node,
+    before the mean.
+    """
+    node_w, area = (None, None) if rule is None else rule
 
     def evaluate(r, with_magnitude):
-        counts.kernel_evals += r.size * (coeffs.size - 1) * (1 if h is None else 2)
-        acc = 0.0
-        terms = 0.0
+        acc = terms = 0.0
         for m in range(1, coeffs.size):
-            a = np.asarray(g(m * r))
-            b = None if h is None else np.asarray(h(m * r))
-            acc = acc + coeffs[m] * (a if b is None else a - b)
+            s = m * r
+            vals = f(s)
             if with_magnitude:
-                terms = terms + abs(coeffs[m]) * np.abs(a)
-                if b is not None:
-                    terms = terms + abs(coeffs[m]) * np.abs(b)
-        return _reduce_part(acc, part, magnitude), terms if with_magnitude else None
+                amp = np.abs(vals)
+            if h is not None:
+                other = h(s)
+                if with_magnitude:
+                    amp = amp + np.abs(other)
+                vals = vals - other
+            if not magnitude:
+                vals = vals.real if rule is None else vals @ node_w
+            acc = acc + coeffs[m] * vals
+            if with_magnitude:
+                terms = terms + abs(coeffs[m]) * (amp if rule is None else amp @ node_w)
+        if rule is None:
+            return _reduce_part(acc, part, magnitude), terms if with_magnitude else None
+        if magnitude:
+            D = _reduce_part(acc, part, True) @ node_w / area
+        else:
+            D = _reduce_part(acc / area, part, False)
+        return D, terms / area if with_magnitude else None
 
     return evaluate
 
@@ -400,11 +428,24 @@ def _factor_cost(phi: CharFn) -> int:
     return phi.atoms.size if phi.atoms is not None else 1
 
 
-def _counted_minus_one(phi: CharFn, counts):
-    def minus_one(pts):
-        counts.kernel_evals += pts.shape[0] * _factor_cost(phi)
-        return np.asarray(phi.minus_one(pts))
-    return minus_one
+def _radial_reader(g, counts):
+    """Radial profile minus one at the radii s, one kernel evaluation each."""
+    def read(s):
+        counts.kernel_evals += s.size
+        return np.asarray(g(s))
+    return read
+
+
+def _sphere_reader(phi: CharFn, nodes, counts):
+    """``phi - 1`` at every radius in s times every sphere node, one row
+    per radius, charged ``_factor_cost`` per point."""
+    cost = _factor_cost(phi)
+
+    def read(s):
+        pts = (s[:, None, None] * nodes[None, :, :]).reshape(-1, nodes.shape[1])
+        counts.kernel_evals += pts.shape[0] * cost
+        return np.asarray(phi.minus_one(pts)).reshape(s.size, -1)
+    return read
 
 
 def _ray_reader(phi: CharFn, counts):
@@ -414,109 +455,31 @@ def _ray_reader(phi: CharFn, counts):
     point is the plane-wave sum ``sum_j w_j (exp(-i x_j s) - 1)``, entire
     of exponential type tau = max |x_j|, so it is read from Chebyshev
     blocks built from its atoms as queries land and kept for the reader's
-    lifetime.  Each radius below the first block, where the origin descent
-    and its noise probe live, is evaluated directly and charged one kernel
-    evaluation per atom; the caller charges the blocks, one per atom and
-    block built.  Atoms all at the origin (tau = 0) give a constant, read
-    directly.
+    lifetime.  The reader charges its own cost: ``_factor_cost`` for each
+    point evaluated directly (every point of a small factor, and each
+    radius below the first block, where the origin descent and its noise
+    probe live) and for each block built.  Atoms all at the origin
+    (tau = 0) give a constant, read directly.
     """
-    minus_one = _counted_minus_one(phi, counts)
+    cost = _factor_cost(phi)
 
     def direct(s):
-        return minus_one(s[:, None])
+        counts.kernel_evals += s.size * cost
+        return np.asarray(phi.minus_one(s[:, None]))
 
-    if _factor_cost(phi) <= _TABLE_ATOMS:
+    if cost <= _TABLE_ATOMS:
         return direct
     x = phi.atoms.points[:, 0]
     if not np.any(x):
         return direct
-    return ChebyshevBlocks(direct, -x, phi.atoms.weights)
+    table = ChebyshevBlocks(direct, -x, phi.atoms.weights)
 
-
-def _ray_terms(coeffs, phi, psi, part, magnitude, counts):
-    """Evaluator of the d = 1 two-node mean of ``sum_m c_m (phi - psi)(+-m r)``.
-
-    Transforms of real measures satisfy ``phi(-s) = conj phi(s)``, so the
-    nodes +1 and -1 carry conjugate values: the signed mean is the real
-    part of the +1 node and the magnitude mean is that node's magnitude,
-    the same numbers the two-node rule gives, from one ray.  A factor read
-    from Chebyshev blocks is charged one kernel evaluation per atom for each
-    block that an evaluation builds.
-    """
-    f = _ray_reader(phi, counts)
-    h = None if psi is None else _ray_reader(psi, counts)
-    tables = [(reader, _factor_cost(chi)) for reader, chi in ((f, phi), (h, psi))
-              if isinstance(reader, ChebyshevBlocks)]
-
-    def evaluate(r, with_magnitude):
-        built = [table.blocks_built for table, _ in tables]
-        D, terms = ray_sum(r, with_magnitude)
-        for (table, cost), before in zip(tables, built):
-            counts.kernel_evals += (table.blocks_built - before) * cost
-        return D, terms
-
-    def ray_sum(r, with_magnitude):
-        acc = np.zeros(r.size, dtype=complex if magnitude else float)
-        terms = 0.0
-        for m in range(1, coeffs.size):
-            vals = f(m * r)
-            if with_magnitude:
-                amp = np.abs(vals)
-            if h is not None:
-                other = h(m * r)
-                if with_magnitude:
-                    amp = amp + np.abs(other)
-                vals = vals - other
-            acc += coeffs[m] * (vals if magnitude else np.real(vals))
-            if with_magnitude:
-                terms = terms + abs(coeffs[m]) * amp
-        if magnitude:
-            D = _reduce_part(acc, part, True)
-        else:
-            D = acc if part == "real" else acc.astype(complex)
-        return D, terms if with_magnitude else None
-
-    return evaluate
-
-
-def _sphere_terms(coeffs, phi, psi, d, order, part, magnitude, counts):
-    """Evaluator of the sphere-rule mean of ``sum_m c_m (phi - psi)(m r u)``.
-
-    Signed means are combined per m; with ``magnitude`` the absolute value
-    is taken per node, before the mean.
-    """
-    nodes, node_w = sphere_rule(d, order)
-    area = sphere_area(d)
-    f = _counted_minus_one(phi, counts)
-    h = None if psi is None else _counted_minus_one(psi, counts)
-
-    def evaluate(r, with_magnitude):
-        acc = np.zeros((r.size, node_w.size) if magnitude else r.size, dtype=complex)
-        terms = 0.0
-        for m in range(1, coeffs.size):
-            flat = ((m * r)[:, None, None] * nodes[None, :, :]).reshape(-1, d)
-            vals = f(flat).reshape(r.size, -1)
-            if with_magnitude:
-                amp = np.abs(vals)
-            if h is not None:
-                other = h(flat).reshape(r.size, -1)
-                if with_magnitude:
-                    amp = amp + np.abs(other)
-                vals = vals - other
-            if magnitude:
-                acc += coeffs[m] * vals
-            else:
-                acc = acc + coeffs[m] * (vals @ node_w)
-            if with_magnitude:
-                terms = terms + abs(coeffs[m]) * (amp @ node_w)
-        if magnitude:
-            D = (_reduce_part(acc, part, True) @ node_w) / area
-        else:
-            acc /= area
-            D = _reduce_part(acc, part, False)
-        return D, terms / area if with_magnitude else None
-
-    return evaluate
+    def read(s):
+        before = table.blocks_built
+        vals = table(s)
+        counts.kernel_evals += (table.blocks_built - before) * cost
+        return vals
+    return read
 
 
 def _atomic_terms(atoms, coeffs, counts, g=None):
@@ -528,8 +491,10 @@ def _atomic_terms(atoms, coeffs, counts, g=None):
     ``(1 + g(|xi|)) sum_j w_j exp(-i xi . x_j)``, whose sphere mean is
     exact too, ``(1 + g(m r)) sum_j w_j K(m r rho_j)``; it is summed as
     ``g (K - 1) + g + (K - 1)`` per atom, which vanishes at r = 0 term by
-    term.  The returned frequency and tail are the atomic law's alone; a
-    caller with a radial factor uses the product's own.
+    term, and ``g=None`` is the case g = 0.  Each point costs one kernel
+    evaluation per atom off the origin and m, plus one per m for ``g``.
+    The returned frequency and tail are the atomic law's alone; a caller
+    with a radial factor uses the product's own.
     """
     kernel = {1: "cos", 2: "j0", 3: "sinc"}.get(atoms.dim)
     if kernel is None:
@@ -539,35 +504,25 @@ def _atomic_terms(atoms, coeffs, counts, g=None):
     w_origin = float(atoms.weights[~pos].sum())
     radii = rho[pos]
     weights = atoms.weights[pos]
+    w_total = float(atoms.weights.sum())
     k = coeffs.size - 1
     ms = np.arange(1, k + 1)
+    per_point = k * (radii.size + (g is not None))
 
-    if g is None:
-        def evaluate(r, with_magnitude):
-            counts.kernel_evals += r.size * k * radii.size
-            y = r[:, None, None] * (ms[None, :, None] * radii[None, None, :])
-            # K - 1 per factor keeps the origin cancellation exact; the
-            # m = 0 term vanishes identically in this form
-            kv = _kernel_minus_one(kernel, y)
-            D = np.einsum("m,rmj,j->r", coeffs[1:], kv, weights)
-            if not with_magnitude:
-                return D, None
-            return D, np.einsum("m,rmj,j->r", np.abs(coeffs[1:]), np.abs(kv), weights)
-    else:
-        w_total = float(atoms.weights.sum())
-
-        def evaluate(r, with_magnitude):
-            counts.kernel_evals += r.size * k * (radii.size + 1)
-            mr = r[:, None] * ms[None, :]
-            gv = np.asarray(g(mr.ravel())).reshape(mr.shape)
-            kv = _kernel_minus_one(kernel, mr[:, :, None] * radii[None, None, :])
-            s = kv @ weights
-            D = (gv * s + gv * w_total + s) @ coeffs[1:]
-            if not with_magnitude:
-                return D, None
-            t = np.abs(kv) @ weights
-            ga = np.abs(gv)
-            return D, (ga * t + ga * w_total + t) @ np.abs(coeffs[1:])
+    def evaluate(r, with_magnitude):
+        counts.kernel_evals += r.size * per_point
+        mr = r[:, None] * ms[None, :]
+        # K - 1 per atom keeps the origin cancellation exact; the m = 0
+        # term vanishes identically in this form
+        kv = _kernel_minus_one(kernel, mr[:, :, None] * radii[None, None, :])
+        s = kv @ weights
+        gv = 0.0 if g is None else np.asarray(g(mr.ravel())).reshape(mr.shape)
+        D = (gv * s + gv * w_total + s) @ coeffs[1:]
+        if not with_magnitude:
+            return D, None
+        t = np.abs(kv) @ weights
+        ga = np.abs(gv)
+        return D, (ga * t + ga * w_total + t) @ np.abs(coeffs[1:])
 
     freq = k * radii.max() if radii.size else 0.0
     tail = AtomicTail(coeffs[0] * (1.0 - w_origin), coeffs, radii, weights, kernel)
@@ -636,22 +591,29 @@ def difference_profile(phi: CharFn, psi: CharFn | None = None, *, k: int,
         evaluate, freq, tail = _atomic_terms(phi.atoms, coeffs, counts)
         return DifferenceProfile(evaluate, sphere_area(d), float(freq), magnitude=False,
                                  tail=tail, counts=counts)
-    if phi.is_radial and (psi is None or psi.is_radial):
-        evaluate = _radial_terms(coeffs, phi.radial_minus_one,
-                                 None if psi is None else psi.radial_minus_one,
-                                 part, magnitude, counts)
-    elif signed_alone and phi.radial_atomic is not None and d in (2, 3):
+    if signed_alone and phi.radial_atomic is not None and d in (2, 3):
         form = phi.radial_atomic
         evaluate = _atomic_terms(form.atoms, coeffs, counts, form.radial_minus_one)[0]
-    elif d == 1:
-        evaluate = _ray_terms(coeffs, phi, psi, part, magnitude, counts)
-    elif d <= 3:
-        evaluate = _sphere_terms(coeffs, phi, psi, d, spec.sphere_order, part, magnitude,
-                                 counts)
     else:
-        raise DomainError(
-            f"non-radial transforms are limited to dimension 3 (got d={d})"
-        )
+        rule = None
+        if phi.is_radial and (psi is None or psi.is_radial):
+            def read(chi):
+                return _radial_reader(chi.radial_minus_one, counts)
+        elif d == 1:
+            def read(chi):
+                return _ray_reader(chi, counts)
+        elif d <= 3:
+            nodes, node_w = sphere_rule(d, spec.sphere_order)
+            rule = (node_w, sphere_area(d))
+
+            def read(chi):
+                return _sphere_reader(chi, nodes, counts)
+        else:
+            raise DomainError(
+                f"non-radial transforms are limited to dimension 3 (got d={d})"
+            )
+        evaluate = _mean_terms(coeffs, read(phi), None if psi is None else read(psi), rule,
+                               part, magnitude)
     freq = k * (phi.osc_scale + (0.0 if psi is None else psi.osc_scale))
     tail = _profile_tail(phi, psi, coeffs, part, magnitude)
     return DifferenceProfile(evaluate, sphere_area(d), float(freq), magnitude=magnitude,
@@ -808,7 +770,7 @@ def radial_difference_integral(F, k: int, alpha: float, d: int = 1,
     coeffs = binomial_difference_coefficients(k)
     counts = _EvalCounts()
     profile = DifferenceProfile(
-        _radial_terms(coeffs, g, None, "complex", False, counts),
+        _mean_terms(coeffs, _radial_reader(g, counts), None, None, "complex", False),
         angular=1.0,
         freq=0.0,
         magnitude=False,

@@ -216,6 +216,9 @@ def geometric_breakpoints(a, b, per_octave=2):
     return np.geomspace(a, b, n)
 
 
+_MAX_BREAKPOINTS = 2_000_000
+
+
 def oscillatory_breakpoints(a, b, freq, per_octave=2, max_width_factor=0.5):
     """Geometric breakpoints whose width also resolves oscillation ``freq``.
 
@@ -230,12 +233,30 @@ def oscillatory_breakpoints(a, b, freq, per_octave=2, max_width_factor=0.5):
     grow = 2.0 ** (1.0 / per_octave) - 1.0
     pts = [a]
     x = a
-    while x < b:
-        x = min(b, x + max(min(x * grow, cap), 1e-300))
+    while x < b and x * grow < cap:
+        x = min(b, x + max(x * grow, 1e-300))
         pts.append(x)
-        if len(pts) > 2_000_000:
+        if len(pts) > _MAX_BREAKPOINTS:
             raise QuadratureError("oscillatory breakpoint plan exploded")
-    return np.asarray(pts)
+    # past the crossover every width is the cap: a cumulative sum adds the
+    # steps one after another, as a loop would, and the run is cut at b; a
+    # run that rounding keeps short of b continues from its last point
+    runs = [np.asarray(pts)]
+    count = len(pts)
+    step = max(cap, 1e-300)
+    while x < b:
+        n = min(math.ceil(min((b - x) / step, _MAX_BREAKPOINTS)) + 2, _MAX_BREAKPOINTS - count)
+        if n <= 0:
+            raise QuadratureError("oscillatory breakpoint plan exploded")
+        run = np.cumsum(np.concatenate(([x], np.full(n, step))))[1:]
+        end = int(np.searchsorted(run, b))
+        if end < n:
+            run = run[:end + 1]
+            run[end] = b
+        runs.append(run)
+        count += run.size
+        x = run[-1]
+    return np.concatenate(runs)
 
 
 def sphere_rule(d: int, order: int):

@@ -360,3 +360,38 @@ class TestExitCodes:
         cfg = write_config(tmp_path, {"family": "gaussian", "n": 10}, name="ok.json")
         assert cli.main(["sample", "--config", cfg, "--out", str(missing / "r.json")]) == 2
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "config"
+
+
+class TestIntegerFields:
+    # one config per integer field; the field's value is put in by the test
+    CONFIGS = {
+        "k": ("moment", {"measure": {"family": "gaussian", "t": 1, "d": 1}, "alpha": 0.5}),
+        "d": ("moment", {"measure": {"family": "gaussian", "t": 1}, "alpha": 0.5}),
+        "terms": ("moment", {"measure": {"family": "pathological", "alpha": 1.0},
+                             "alpha": 0.5}),
+        "n": ("sample", {"family": "gaussian"}),
+        "seed": ("sample", {"family": "gaussian", "n": 10}),
+        "sigma": ("heat", {"check": "decay", "p": 2.0, "t": [4.0],
+                           "initial": {"family": "point_mass", "point": [0.0]},
+                           "b": {"family": "point_mass", "point": [1.0]}}),
+    }
+
+    def _run(self, tmp_path, capsys, key, value):
+        task, cfg = self.CONFIGS[key]
+        cfg = json.loads(json.dumps(cfg))
+        (cfg["measure"] if key in ("d", "terms") else cfg)[key] = value
+        code = cli.main([task, "--config", write_config(tmp_path, cfg)])
+        return code, json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("value", [1.7, True, "2", float("inf")])
+    @pytest.mark.parametrize("key", ["k", "d", "terms", "n", "seed", "sigma"])
+    def test_non_integers_are_config_errors(self, tmp_path, capsys, key, value):
+        code, out = self._run(tmp_path, capsys, key, value)
+        assert code == 2
+        assert out["error"]["type"] == "config" and repr(key) in out["error"]["message"]
+
+    def test_integral_floats_are_read_as_integers(self, tmp_path, capsys):
+        code, out = self._run(tmp_path, capsys, "k", 3.0)
+        assert code == 0 and out["rows"][0]["k"] == 3
+        code, out = self._run(tmp_path, capsys, "n", 10.0)
+        assert code == 0 and out["rows"][0]["n"] == 10

@@ -561,7 +561,8 @@ class TestOneRayFold:
     def test_table_cost_counts_blocks_and_direct_points(self):
         phi = cf.make_empirical(np.random.default_rng(15).normal(size=100))
         counts = me._EvalCounts()
-        evaluate = me._ray_terms(np.array([0.0, 1.0]), phi, None, "complex", True, counts)
+        evaluate = me._mean_terms(np.array([0.0, 1.0]), me._ray_reader(phi, counts), None, None,
+                                  "complex", True)
         width = 8.0 / np.abs(phi.atoms.points).max()
         blocks = set()
         n_direct = 0
@@ -577,8 +578,11 @@ class TestOneRayFold:
 
     def test_lacunary_12_stays_direct(self):
         lac = cf.make_discrete(cf.lacunary_measure(1.0, 12))
+        # far radii too are evaluated directly, one kernel per atom and point
         counts = me._EvalCounts()
-        assert not isinstance(me._ray_reader(lac, counts), me.ChebyshevBlocks)
+        s = np.linspace(100.0, 400.0, 50)
+        assert np.array_equal(me._ray_reader(lac, counts)(s), lac.minus_one(s[:, None]))
+        assert counts.kernel_evals == s.size * 12
         profile = me.difference_profile(lac, k=2, spec=QuadratureSpec(), part="complex",
                                         magnitude=True)
         coeffs = me.binomial_difference_coefficients(2)
@@ -591,7 +595,10 @@ class TestOneRayFold:
         from cfmoments.metrics import integral_distance
 
         zeros = cf.make_empirical(np.zeros(60))
-        assert not isinstance(me._ray_reader(zeros, me._EvalCounts()), me.ChebyshevBlocks)
+        counts = me._EvalCounts()
+        s = np.linspace(100.0, 400.0, 50)
+        assert np.array_equal(me._ray_reader(zeros, counts)(s), zeros.minus_one(s[:, None]))
+        assert counts.kernel_evals == s.size * 60
         x = cf.make_empirical(np.random.default_rng(5).normal(size=60))
         got = integral_distance(zeros, x, 0.5)
         ref = integral_distance(cf.make_point_mass(0.0), x, 0.5)
@@ -635,9 +642,10 @@ class TestRayTable:
     @pytest.mark.parametrize("name", ["gaussian-n1000", "stable1.5-n1000", "worst-60"])
     def test_matches_direct_evaluation(self, name):
         phi = self._atom_sets()[name]
-        reader = me._ray_reader(phi, me._EvalCounts())
-        assert isinstance(reader, me.ChebyshevBlocks)
-        got = reader(self.S)
+        counts = me._EvalCounts()
+        got = me._ray_reader(phi, counts)(self.S)
+        # read from blocks: cheaper than one kernel per atom and point
+        assert 0 < counts.kernel_evals < self.S.size * phi.atoms.size
         direct = np.concatenate([phi.minus_one(c[:, None]) for c in np.split(self.S, 7)])
         w = np.abs(phi.atoms.weights)
         # rounding the phases s * x_j moves the direct value by up to
@@ -753,3 +761,127 @@ class TestRadialAtomicReduction:
         res = me.absolute_moment(ev, 1.5)
         diag = res.diagnostics
         assert 0 < diag["kernel_evals"] <= 2 * res.k_used * diag["points"]
+
+
+def _sphere_D(coeffs, phi, psi, d, order, r, part, magnitude):
+    """The sphere rule node by node: signed means combined per m,
+    magnitudes taken per node before the mean; also the terms' magnitude
+    mean."""
+    from cfmoments.quadrature import sphere_rule
+    from cfmoments.specfun import sphere_area
+
+    nodes, node_w = sphere_rule(d, order)
+    area = sphere_area(d)
+    acc = np.zeros((r.size, node_w.size) if magnitude else r.size, dtype=complex)
+    terms = 0.0
+    for m in range(1, coeffs.size):
+        pts = ((m * r)[:, None, None] * nodes[None, :, :]).reshape(-1, d)
+        vals = np.asarray(phi.minus_one(pts)).reshape(r.size, -1)
+        amp = np.abs(vals)
+        if psi is not None:
+            other = np.asarray(psi.minus_one(pts)).reshape(r.size, -1)
+            amp = amp + np.abs(other)
+            vals = vals - other
+        if magnitude:
+            acc += coeffs[m] * vals
+        else:
+            acc = acc + coeffs[m] * (vals @ node_w)
+        terms = terms + abs(coeffs[m]) * (amp @ node_w)
+    if magnitude:
+        return (me._reduce_part(acc, part, True) @ node_w) / area, terms / area
+    acc /= area
+    return me._reduce_part(acc, part, False), terms / area
+
+
+class TestSphereRuleProfile:
+    """Profiles of non-radial transforms in d = 2, 3 against the sphere
+    rule evaluated node by node."""
+
+    R = np.concatenate([np.geomspace(1e-4, 50.0, 61), [1.0, 2.5]])
+    SPEC = QuadratureSpec(sphere_order=12)
+
+    @staticmethod
+    def _laws(d):
+        import dataclasses
+
+        rng = np.random.default_rng(30 + d)
+        shifted = cf.make_product(cf.make_gaussian(0.5, d), cf.make_point_mass(rng.normal(size=d)))
+        return {
+            # without its radial x atomic form the product takes the sphere rule
+            "shifted": dataclasses.replace(shifted, radial_atomic=None),
+            "stable": cf.make_stable(1.5, 0.7, d),
+            "sample": cf.make_empirical(rng.normal(size=(15, d))),
+        }
+
+    @pytest.mark.parametrize("part", ["real", "complex"])
+    @pytest.mark.parametrize("magnitude", [False, True])
+    @pytest.mark.parametrize("pair", [False, True])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_per_node_rule(self, d, pair, magnitude, part):
+        laws = self._laws(d)
+        phi = laws["shifted"]
+        psi = laws["sample" if magnitude else "stable"] if pair else None
+        k = 2
+        profile = me.difference_profile(phi, psi, k=k, spec=self.SPEC, part=part,
+                                        magnitude=magnitude)
+        ref, ref_terms = _sphere_D(me.binomial_difference_coefficients(k), phi, psi, d,
+                                   self.SPEC.sphere_order, self.R, part, magnitude)
+        got, terms = profile.evaluate(self.R, True)
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+        assert np.array_equal(terms, ref_terms)
+        assert np.array_equal(profile.D(self.R), ref)
+
+    def test_charges_nodes_times_factor_cost(self):
+        laws = self._laws(2)
+        profile = me.difference_profile(laws["shifted"], laws["sample"], k=3, spec=self.SPEC,
+                                        part="complex", magnitude=True)
+        profile.D(self.R)
+        nodes = self.SPEC.sphere_order
+        # one kernel for the formula product, one per atom for the sample
+        assert profile.counts.kernel_evals == self.R.size * 3 * nodes * (1 + 15)
+
+
+class TestAtomicEvaluator:
+    """The atomic reduction against a per-atom sum in exact rounding."""
+
+    R = np.concatenate([[0.0], np.geomspace(1e-6, 300.0, 80)])
+
+    @staticmethod
+    def _atoms(d):
+        from cfmoments.measures import DiscreteMeasure
+
+        rng = np.random.default_rng(40 + d)
+        pts = rng.normal(size=(25, d)) * np.exp(rng.normal(size=(25, 1)))
+        pts[3] = 0.0  # an atom at the origin
+        w = rng.uniform(0.5, 1.5, 25)
+        return DiscreteMeasure(pts, w / w.sum())
+
+    @pytest.mark.parametrize("radial", [False, True])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_per_atom_fsum(self, d, k, radial):
+        atoms = self._atoms(d)
+        coeffs = me.binomial_difference_coefficients(k)
+        g = cf.make_gaussian(0.5, d).radial_minus_one if radial else None
+        counts = me._EvalCounts()
+        evaluate = me._atomic_terms(atoms, coeffs, counts, g)[0]
+        got, terms = evaluate(self.R, True)
+        rho = atoms.radii()
+        pos = rho > 0.0
+        # one kernel per atom off the origin and m, and one per m for g
+        assert counts.kernel_evals == self.R.size * k * (np.count_nonzero(pos) + radial)
+        kernel = {1: "cos", 2: "j0", 3: "sinc"}[d]
+        for i, r in enumerate(self.R):
+            items = []
+            for m in range(1, k + 1):
+                mr = r * m
+                kv = me._kernel_minus_one(kernel, mr * rho[pos])
+                gm = float(g(np.array([mr]))[0]) if radial else 0.0
+                for kj, wj in zip(kv, atoms.weights[pos]):
+                    items += [coeffs[m] * wj * kj, coeffs[m] * gm * wj * kj]
+                items += [coeffs[m] * gm * wj for wj in atoms.weights]
+            ref = math.fsum(items)
+            assert abs(got[i] - ref) <= 1e-15 * terms[i]
+        assert got[0] == 0.0
+        assert np.array_equal(evaluate(self.R, False)[0], got)

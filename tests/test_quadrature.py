@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cfmoments.errors import DivergenceSuspectedError, DomainError
+from cfmoments.errors import DivergenceSuspectedError, DomainError, QuadratureError
 from cfmoments.quadrature import (
     QuadratureSpec,
     adaptive_panel_integral,
@@ -117,6 +117,44 @@ class TestBreakpoints:
         bp = oscillatory_breakpoints(1.0, 100.0, 5.0)
         widths = np.diff(bp)
         assert widths.max() <= 0.5 * 2 * math.pi / 5.0 + 1e-12
+
+    @staticmethod
+    def _loop_plan(a, b, freq, per_octave):
+        """The planner as a loop over breakpoints, one width at a time."""
+        cap = 0.5 * 2.0 * math.pi / freq
+        grow = 2.0 ** (1.0 / per_octave) - 1.0
+        pts = [a]
+        x = a
+        while x < b:
+            x = min(b, x + max(min(x * grow, cap), 1e-300))
+            pts.append(x)
+            if len(pts) > 2_000_000:
+                raise QuadratureError("oscillatory breakpoint plan exploded")
+        return np.asarray(pts)
+
+    def test_oscillatory_matches_loop(self):
+        rng = np.random.default_rng(17)
+        cases = [(2048.0, 4096.0, 6.0, 3), (1e-4, 8.0, 1.0, 3), (0.25, 1e3, 40.0, 1),
+                 (3.0, 3.0 + 1e-9, 2.0, 2)]
+        for _ in range(400):
+            a = 10.0 ** rng.uniform(-6.0, 3.0)
+            cases.append((a, a * 10.0 ** rng.uniform(1e-6, 2.5), 10.0 ** rng.uniform(-2.0, 1.0),
+                          int(rng.integers(1, 7))))
+        for a, b, freq, per_octave in cases:
+            got = oscillatory_breakpoints(a, b, freq, per_octave=per_octave)
+            assert np.array_equal(got, self._loop_plan(a, b, freq, per_octave))
+
+    def test_oscillatory_plan_limit(self):
+        # a cap of exactly 1 from a = 1000 on: every width is 1, so the plan
+        # holds b - a + 1 points, and one past 2,000,000 is refused
+        assert 0.5 * 2.0 * math.pi / math.pi == 1.0
+        bp = oscillatory_breakpoints(1000.0, 1000.0 + 1_999_999, math.pi)
+        assert bp.size == 2_000_000 and bp[-1] == 1000.0 + 1_999_999
+        assert np.all(np.diff(bp) == 1.0)
+        with pytest.raises(QuadratureError):
+            oscillatory_breakpoints(1000.0, 1000.0 + 2_000_000, math.pi)
+        with pytest.raises(QuadratureError):
+            oscillatory_breakpoints(1.0, 2.0, 1e17)  # the widths vanish against x
 
 
 class TestTrigTailArray:
