@@ -56,7 +56,7 @@ def _field(obj, key, convert=None, default=_REQUIRED):
         return default
     try:
         return obj[key] if convert is None else convert(obj[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"config field {key!r}: {exc}") from exc
 
 
@@ -69,12 +69,22 @@ def _integer(v):
     return int(v)
 
 
-def _floats(v):
-    return np.asarray(v, dtype=float)
+def _real(v):
+    """A finite JSON number; bools, strings and non-finite values are
+    refused, not read as numbers."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError(f"expected a number, got {v!r}")
+    if not math.isfinite(v):
+        raise ValueError(f"expected a finite number, got {v!r}")
+    return float(v)
 
 
 def _float_list(v):
-    return [float(x) for x in (v if isinstance(v, list) else [v])]
+    return [_real(x) for x in (v if isinstance(v, list) else [v])]
+
+
+def _floats(v):
+    return np.array(_float_list(v))
 
 
 def _object(v):
@@ -90,14 +100,14 @@ def build_measure(spec_dict) -> charfn.CharFn:
     fam = spec_dict["family"]
     d = _field(spec_dict, "d", _integer, 1)
     if fam == "gaussian":
-        return charfn.make_gaussian(_field(spec_dict, "t", float, 1.0), d)
+        return charfn.make_gaussian(_field(spec_dict, "t", _real, 1.0), d)
     if fam == "stable":
         return charfn.make_stable(
-            _field(spec_dict, "p", float), _field(spec_dict, "t", float, 1.0), d
+            _field(spec_dict, "p", _real), _field(spec_dict, "t", _real, 1.0), d
         )
     if fam == "linnik":
-        return charfn.make_linnik(_field(spec_dict, "p", float),
-                                  _field(spec_dict, "beta", float), d)
+        return charfn.make_linnik(_field(spec_dict, "p", _real),
+                                  _field(spec_dict, "beta", _real), d)
     if fam == "point_mass":
         return charfn.make_point_mass(_field(spec_dict, "point", _floats))
     if fam == "schoenberg":
@@ -106,7 +116,7 @@ def build_measure(spec_dict) -> charfn.CharFn:
             _field(mixing, "atoms", _floats).reshape(-1, 1),
             _field(mixing, "weights", _floats),
         )
-        return charfn.make_schoenberg(measure, _field(spec_dict, "p", float), d)
+        return charfn.make_schoenberg(measure, _field(spec_dict, "p", _real), d)
     if fam == "empirical":
         try:
             pts = mc_oracle.load_samples_csv(_field(spec_dict, "samples", str))
@@ -115,7 +125,7 @@ def build_measure(spec_dict) -> charfn.CharFn:
         return charfn.make_empirical(pts)
     if fam == "pathological":
         m = lacunary_measure(
-            _field(spec_dict, "alpha", float), _field(spec_dict, "terms", _integer, 8), d
+            _field(spec_dict, "alpha", _real), _field(spec_dict, "terms", _integer, 8), d
         )
         return charfn.make_discrete(m, label=f"pathological(K={m.size})")
     if fam == "product":
@@ -136,6 +146,9 @@ def build_quadrature(config, tol_override=None) -> QuadratureSpec:
     q = dict(_field(config, "quadrature", _object, {}))
     if tol_override is not None:
         q["rel_tol"] = tol_override
+    for key in ("rel_tol", "abs_tol", "r_split", "origin_cut"):
+        if key in q:
+            q[key] = _field(q, key, _real)
     try:
         return QuadratureSpec(**q)
     except TypeError as exc:
@@ -161,7 +174,7 @@ def _constants_row(k, alpha, d):
 
 def run_moment(config, spec, seed):
     phi = build_measure(_field(config, "measure"))
-    alpha = _field(config, "alpha", float)
+    alpha = _field(config, "alpha", _real)
     res = absolute_moment(
         phi,
         alpha,
@@ -190,16 +203,16 @@ def run_metric(config, spec, seed):
     if kind == "d_inf":
         r = metrics.sup_distance(a, b)
     elif kind == "d_beta":
-        r = metrics.holder_distance(a, b, _field(config, "beta", float))
+        r = metrics.holder_distance(a, b, _field(config, "beta", _real))
     elif kind == "seminorm":
-        r = metrics.difference_seminorm(a, b, _field(config, "alpha", float), k, spec)
+        r = metrics.difference_seminorm(a, b, _field(config, "alpha", _real), k, spec)
     elif kind == "rho":
-        r = metrics.integral_distance(a, b, _field(config, "alpha", float), spec)
+        r = metrics.integral_distance(a, b, _field(config, "alpha", _real), spec)
     else:
         # composite kinds; composite_metric rejects unknown ones
         r = metrics.composite_metric(
-            kind, a, b, _field(config, "alpha", float),
-            _field(config, "beta", float, None), k, spec,
+            kind, a, b, _field(config, "alpha", _real),
+            _field(config, "beta", _real, None), k, spec,
         )
     return [{
         "kind": kind,
@@ -216,7 +229,7 @@ def run_metric(config, spec, seed):
 
 def run_membership(config, spec, seed):
     phi = build_measure(_field(config, "measure"))
-    alpha = _field(config, "alpha", float)
+    alpha = _field(config, "alpha", _real)
     k = _field(config, "k", _integer, 1)
     rep = metrics.membership(phi, alpha, k, spec)
     row = {
@@ -236,8 +249,8 @@ def run_membership(config, spec, seed):
 def run_heat(config, spec, seed):
     check = _field(config, "check", str, "moment")
     initial = build_measure(_field(config, "initial"))
-    p = _field(config, "p", float)
-    alpha = _field(config, "alpha", float, 0.5)
+    p = _field(config, "p", _real)
+    alpha = _field(config, "alpha", _real, 0.5)
     if check == "moment":
         rows = []
         for t in _field(config, "t", _float_list):
@@ -274,8 +287,8 @@ def run_heat(config, spec, seed):
 def run_convolve(config, spec, seed):
     a = build_measure(_field(config, "a"))
     b = build_measure(_field(config, "b"))
-    alpha = _field(config, "alpha", float)
-    beta = _field(config, "beta", float)
+    alpha = _field(config, "alpha", _real)
+    beta = _field(config, "beta", _real)
     rep = convolution.convolution_bound_report(a, b, alpha, beta, spec)
     return [{
         "a": a.label, "b": b.label, "alpha": alpha, "beta": beta,
@@ -290,15 +303,15 @@ def run_sample(config, spec, seed):
     use_seed = _field(config, "seed", _integer, seed if seed is not None else 0)
     if fam == "gaussian":
         s = mc_oracle.sample_gaussian(
-            _field(config, "t", float, 1.0), _field(config, "d", _integer, 1), n, use_seed
+            _field(config, "t", _real, 1.0), _field(config, "d", _integer, 1), n, use_seed
         )
     elif fam == "cauchy":
         s = mc_oracle.sample_isotropic_cauchy(_field(config, "d", _integer, 1), n, use_seed)
     elif fam == "stable":
-        s = mc_oracle.sample_stable_1d(_field(config, "p", float), n, use_seed)
+        s = mc_oracle.sample_stable_1d(_field(config, "p", _real), n, use_seed)
     elif fam == "linnik":
         s = mc_oracle.sample_linnik_1d(
-            _field(config, "p", float), _field(config, "beta", float), n, use_seed
+            _field(config, "p", _real), _field(config, "beta", _real), n, use_seed
         )
     else:
         raise DomainError(f"unknown sample family {fam!r}")
@@ -308,7 +321,7 @@ def run_sample(config, spec, seed):
             mc_oracle.save_samples_csv(out_csv, s.points)
         except OSError as exc:
             raise DomainError(f"cannot write samples: {exc}") from exc
-    est, se = mc_oracle.mc_moment(s, _field(config, "alpha", float, 1.0))
+    est, se = mc_oracle.mc_moment(s, _field(config, "alpha", _real, 1.0))
     return [{
         "family": s.family, "n": n, "seed": use_seed, "csv": out_csv,
         "alpha": config.get("alpha", 1.0), "mc_moment": est, "stderr": se,

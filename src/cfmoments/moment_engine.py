@@ -9,7 +9,9 @@ of two evaluators.  Signed differences of a finitely supported measure
 reduce exactly over its atoms, whose sphere means are the kernels cos, J0
 and sinc of ``m r |x_j|``; so do those of radial x atomic products in
 dimensions two and three (the heat flow of a point mass or a sample),
-times a radial factor ``1 + g(m r)``.  Everything else is one loop over
+times a radial factor ``1 + g(m r)``.  Where every kernel argument is at
+most 1/2, the atom sum is read from an eight-term Taylor series in the
+atoms' even moments instead.  Everything else is one loop over
 the difference terms, the angular mean of ``(phi - psi)(m r u)`` over a
 rule of nodes u, fed by factor readers that each charge their own cost:
 the radial profile of a radially symmetric transform on one node, a
@@ -35,7 +37,9 @@ limit, or the exact Fourier series of |sin| for a pair of single atoms.
 Each pass reports its cost with its diagnostics: the radii at which D was
 evaluated (``points``) and the kernel evaluations behind them
 (``kernel_evals``: one per atom, or one for a formula, and point evaluated
-directly, one per atom and built Chebyshev block).
+directly, one per atom and built Chebyshev block, and one per atomic
+kernel sum read from its series, whose moments cost one per atom when the
+profile is built).
 """
 
 from __future__ import annotations
@@ -131,32 +135,55 @@ def select_difference_order(alpha: float, prefer_real: bool = True):
     return k, "M13"
 
 
+# Taylor series of the kernels minus one, ``sum_l (-1)**l y**(2l) / den_l``
+# for l = 1..10; every denominator is an integer held exactly in a float
+_KERNEL_DENOMINATORS = {
+    "cos": np.array([math.factorial(2 * l) for l in range(1, 11)], dtype=float),
+    "j0": np.array([4**l * math.factorial(l) ** 2 for l in range(1, 11)], dtype=float),
+    "sinc": np.array([math.factorial(2 * l + 1) for l in range(1, 11)], dtype=float),
+}
+_KERNEL_SIGNS = (-1.0) ** np.arange(1, 11)
+# the atomic reduction reads a kernel sum from its first terms wherever
+# every argument is at most the cut
+_SERIES_CUT = 0.5
+_SERIES_TERMS = 8
+
+
+def _horner(coeffs, x):
+    """``sum_l coeffs[l] x**l`` for l >= 0, in Horner form."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = c + x * acc
+    return acc
+
+
 def _kernel_minus_one(kernel, y):
     """Angular-mean kernel minus one, cancellation-free for small y.
 
     The kernels are the sphere means of a plane wave: cos in d = 1, the
     order-zero Bessel function in d = 2, the sine cardinal in d = 3.  The
     small-y series and the closed form each run only where they are used.
+    Every value is at most zero, as the kernels are at most one.
     """
     if kernel == "cos":
         return -2.0 * np.sin(y / 2.0) ** 2
     if kernel not in ("j0", "sinc"):
         raise DomainError(f"unknown kernel {kernel}")
     out = np.empty_like(y)
-    small = y < 0.1
-    y2 = y[small] ** 2
+    small = y < 1.0
     large = y[~small]
-    # five terms, through y**10 (the first omitted one is below 2e-19
-    # relative at y = 0.1), in Horner form after the leading term; that
-    # term is one division, not a product with a rounded 1/6, which keeps
-    # the sum within 2 ulp
+    # ten terms, through y**20 (the first omitted one is below 1e-21
+    # relative at y = 1), in Horner form after the leading term; that term
+    # is one division, not a product with a rounded 1/6, which keeps the
+    # sum within 2 ulp.  Above y = 1 the closed forms lose under three bits
+    # to the subtraction of one.
+    if small.any():
+        y2 = y[small] ** 2
+        den = _KERNEL_DENOMINATORS[kernel]
+        out[small] = -y2 / den[0] + y2 * y2 * _horner(_KERNEL_SIGNS[1:] / den[1:], y2)
     if kernel == "j0":
-        out[small] = -y2 / 4.0 + y2 * y2 * (1.0 / 64.0 + y2 * (
-            -1.0 / 2304.0 + y2 * (1.0 / 147456.0 - y2 / 14745600.0)))
         out[~small] = _bessel_j0(np.minimum(large, 1e300)) - 1.0
     else:
-        out[small] = -y2 / 6.0 + y2 * y2 * (1.0 / 120.0 + y2 * (
-            -1.0 / 5040.0 + y2 * (1.0 / 362880.0 - y2 / 39916800.0)))
         out[~small] = np.sin(large) / large - 1.0
     return out
 
@@ -304,8 +331,10 @@ class _EvalCounts:
     of a radial profile, one per atom (one for a formula) and point or
     sphere node evaluated directly, and one per atom for each Chebyshev
     block of a ray table (one complex exponential per atom builds a
-    block).  The atomic reduction charges one per atom, m and radius, and
-    one more per m and radius for a radial factor."""
+    block).  The atomic reduction charges one per atom for the even
+    moments of its series, once, when it is built; then, per m and radius,
+    one for a kernel sum read from the series or one per atom off the
+    origin for a sum taken directly, and one more for a radial factor."""
 
     points: int = 0
     kernel_evals: int = 0
@@ -491,8 +520,23 @@ def _atomic_terms(atoms, coeffs, counts, g=None):
     ``(1 + g(|xi|)) sum_j w_j exp(-i xi . x_j)``, whose sphere mean is
     exact too, ``(1 + g(m r)) sum_j w_j K(m r rho_j)``; it is summed as
     ``g (K - 1) + g + (K - 1)`` per atom, which vanishes at r = 0 term by
-    term, and ``g=None`` is the case g = 0.  Each point costs one kernel
-    evaluation per atom off the origin and m, plus one per m for ``g``.
+    term, and ``g=None`` is the case g = 0.
+
+    The kernel sum ``s(y) = sum_j w_j (K(y rho_j) - 1)`` is entire in y.
+    Where every argument is small, ``z = y rho_max <= 1/2``, it is read
+    from its Taylor series ``sum_l kappa_l M_l z**(2l)`` over l = 1..8,
+    with the kernel's coefficients kappa_l and the atoms' scaled even
+    moments ``M_l = sum_j w_j (rho_j / rho_max)**(2l)``: positive terms,
+    taken once per profile, that no atom radius can overflow.  There the
+    terms alternate with ratio at most z**2 / 12, and the first omitted
+    one is below 5e-21 of the leading one; a call leaves out the terms
+    below 2**-60 of the leading one at its largest z, most of them deep in
+    the origin head.  Larger arguments sum the
+    kernels atom by atom.  The weights are positive and ``K - 1 <= 0``,
+    so ``-s`` is the sum of the terms' magnitudes.  The moments cost one
+    kernel evaluation per atom, charged when the evaluator is built; each
+    point then costs one per m read from the series, one per atom off the
+    origin and m summed directly, and one per m for ``g``.
     The returned frequency and tail are the atomic law's alone; a caller
     with a radial factor uses the product's own.
     """
@@ -507,24 +551,42 @@ def _atomic_terms(atoms, coeffs, counts, g=None):
     w_total = float(atoms.weights.sum())
     k = coeffs.size - 1
     ms = np.arange(1, k + 1)
-    per_point = k * (radii.size + (g is not None))
+    rho_max = radii.max(initial=0.0)
+    powers = 2 * np.arange(1, _SERIES_TERMS + 1)
+    moments = ((radii / rho_max)[None, :] ** powers[:, None]) @ weights
+    counts.kernel_evals += radii.size
+    den = _KERNEL_DENOMINATORS[kernel][:_SERIES_TERMS]
+    series = _KERNEL_SIGNS[:_SERIES_TERMS] * moments / den
+    # as M_l <= M_1, the term of z**(2l + 2) is below 2**-60 of the leading
+    # one wherever z**2 is below the l-th of these
+    needed = (2.0**-60 * den[1:] / den[0]) ** (1.0 / np.arange(1, _SERIES_TERMS))
 
     def evaluate(r, with_magnitude):
-        counts.kernel_evals += r.size * per_point
         mr = r[:, None] * ms[None, :]
-        # K - 1 per atom keeps the origin cancellation exact; the m = 0
-        # term vanishes identically in this form
-        kv = _kernel_minus_one(kernel, mr[:, :, None] * radii[None, None, :])
-        s = kv @ weights
+        z = mr * rho_max
+        near = z <= _SERIES_CUT
+        n_near = np.count_nonzero(near)
+        # an empty branch is skipped: on a few radii its numpy calls
+        # would cost more than the kernels themselves
+        s = np.empty_like(mr)
+        if n_near:
+            z2 = z[near] ** 2
+            used = series[:1 + np.count_nonzero(needed < z2.max())]
+            s[near] = z2 * _horner(used, z2)
+        if n_near < mr.size:
+            far = ~near
+            # K - 1 per atom keeps the origin cancellation exact
+            s[far] = _kernel_minus_one(kernel, mr[far][:, None] * radii[None, :]) @ weights
+        counts.kernel_evals += n_near + (mr.size - n_near) * radii.size + (g is not None) * mr.size
         gv = 0.0 if g is None else np.asarray(g(mr.ravel())).reshape(mr.shape)
         D = (gv * s + gv * w_total + s) @ coeffs[1:]
         if not with_magnitude:
             return D, None
-        t = np.abs(kv) @ weights
+        t = -s
         ga = np.abs(gv)
         return D, (ga * t + ga * w_total + t) @ np.abs(coeffs[1:])
 
-    freq = k * radii.max() if radii.size else 0.0
+    freq = k * rho_max
     tail = AtomicTail(coeffs[0] * (1.0 - w_origin), coeffs, radii, weights, kernel)
     return evaluate, freq, tail
 

@@ -395,3 +395,49 @@ class TestIntegerFields:
         assert code == 0 and out["rows"][0]["k"] == 3
         code, out = self._run(tmp_path, capsys, "n", 10.0)
         assert code == 0 and out["rows"][0]["n"] == 10
+
+
+class TestFloatFields:
+    # one config per kind of float field; "@" marks where the test puts
+    # the field's value
+    GAUSS = {"family": "gaussian", "t": 1, "d": 1}
+    CONFIGS = {
+        "alpha": ("moment", {"measure": GAUSS, "alpha": "@"}),
+        "t": ("moment", {"measure": {"family": "gaussian", "t": "@", "d": 1}, "alpha": 0.5}),
+        "p": ("moment", {"measure": {"family": "stable", "p": "@", "t": 1}, "alpha": 0.5}),
+        "beta": ("metric", {"kind": "d_beta", "a": GAUSS, "b": GAUSS, "beta": "@"}),
+        "point": ("moment", {"measure": {"family": "point_mass", "point": ["@"]},
+                             "alpha": 0.5}),
+        "weights": ("moment", {"measure": {"family": "mixture", "components": [GAUSS, GAUSS],
+                                           "weights": [0.5, "@"]}, "alpha": 0.5}),
+        "heat-t": ("heat", {"check": "moment", "p": 2.0, "t": ["@"],
+                            "initial": {"family": "point_mass", "point": [1.0]}}),
+        "rel_tol": ("moment", {"measure": GAUSS, "alpha": 0.5, "quadrature": {"rel_tol": "@"}}),
+    }
+
+    @staticmethod
+    def _put(obj, value):
+        if obj == "@":
+            return value
+        if isinstance(obj, dict):
+            return {k: TestFloatFields._put(v, value) for k, v in obj.items()}
+        if isinstance(obj, list):
+            return [TestFloatFields._put(v, value) for v in obj]
+        return obj
+
+    @pytest.mark.parametrize("value", [True, "0.5", float("nan"), float("inf"),
+                                       pytest.param(10**400, id="int-1e400")])
+    @pytest.mark.parametrize("field", list(CONFIGS))
+    def test_non_numbers_are_config_errors(self, tmp_path, capsys, field, value):
+        task, cfg = self.CONFIGS[field]
+        path = write_config(tmp_path, self._put(cfg, value))
+        assert cli.main([task, "--config", path]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "config"
+        assert repr(field.removeprefix("heat-")) in err["message"]
+
+    def test_integers_are_read_as_floats(self, tmp_path, capsys):
+        path = write_config(tmp_path, self._put(self.CONFIGS["point"][1], 1))
+        assert cli.main(["moment", "--config", path]) == 0
+        row = json.loads(capsys.readouterr().out)["rows"][0]
+        assert row["value"] == pytest.approx(1.0, rel=1e-8)

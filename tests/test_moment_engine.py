@@ -446,23 +446,31 @@ class TestKernelMinusOne:
         from scipy.special import j0
 
         rng = np.random.default_rng(5)
-        y = np.concatenate([[0.0, 0.0999999, 0.1], rng.exponential(1.0, 500),
-                            rng.exponential(1e-2, 500), [1e6, 1e300]]).reshape(5, 3, 67)
-        # the reference evaluates both branches everywhere, as the kernel
-        # once did; its unused series overflows at y = 1e300
+        y = np.concatenate([[0.0, 0.0999999, 0.1, 0.9999999, 1.0], rng.exponential(1.0, 500),
+                            rng.exponential(1e-2, 498), [1e6, 1e300]]).reshape(5, 3, 67)
+        # the reference evaluates both branches everywhere; its unused
+        # series overflows at y = 1e300
         with np.errstate(over="ignore", invalid="ignore"):
             y2 = y * y
             if kernel == "cos":
                 ref = -2.0 * np.sin(y / 2.0) ** 2
             elif kernel == "j0":
                 series = -y2 / 4.0 + y2 * y2 * (1.0 / 64.0 + y2 * (
-                    -1.0 / 2304.0 + y2 * (1.0 / 147456.0 - y2 / 14745600.0)))
-                ref = np.where(y < 0.1, series, j0(np.minimum(y, 1e300)) - 1.0)
+                    -1.0 / 2304.0 + y2 * (1.0 / 147456.0 + y2 * (
+                        -1.0 / 14745600.0 + y2 * (1.0 / 2123366400.0 + y2 * (
+                            -1.0 / 416179814400.0 + y2 * (1.0 / 106542032486400.0 + y2 * (
+                                -1.0 / 34519618525593600.0
+                                + y2 * (1.0 / 13807847410237440000.0)))))))))
+                ref = np.where(y < 1.0, series, j0(np.minimum(y, 1e300)) - 1.0)
             else:
                 series = -y2 / 6.0 + y2 * y2 * (1.0 / 120.0 + y2 * (
-                    -1.0 / 5040.0 + y2 * (1.0 / 362880.0 - y2 / 39916800.0)))
+                    -1.0 / 5040.0 + y2 * (1.0 / 362880.0 + y2 * (
+                        -1.0 / 39916800.0 + y2 * (1.0 / 6227020800.0 + y2 * (
+                            -1.0 / 1307674368000.0 + y2 * (1.0 / 355687428096000.0 + y2 * (
+                                -1.0 / 121645100408832000.0
+                                + y2 * (1.0 / 51090942171709440000.0)))))))))
                 safe = np.where(y == 0.0, 1.0, y)
-                ref = np.where(y < 0.1, series, np.sin(safe) / safe - 1.0)
+                ref = np.where(y < 1.0, series, np.sin(safe) / safe - 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             out = me._kernel_minus_one(kernel, y)
@@ -474,8 +482,8 @@ class TestKernelMinusOne:
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.prec = 120
         rng = np.random.default_rng(6)
-        y = np.concatenate([np.geomspace(1e-8, 0.1, 200, endpoint=False), [0.0999999],
-                            np.exp(rng.uniform(math.log(1e-8), math.log(0.1), 800))])
+        y = np.concatenate([np.geomspace(1e-8, 1.0, 300, endpoint=False), [0.0999999, 0.9999999],
+                            np.exp(rng.uniform(math.log(1e-8), math.log(1.0), 1000))])
         out = me._kernel_minus_one(kernel, y)
         for yi, oi in zip(y, out):
             x = mpmath.mpf(float(yi))
@@ -658,12 +666,27 @@ class TestRayTable:
 
 class TestEvaluatorCounts:
     def test_atomic_moment(self):
+        import dataclasses
+
         e = cf.make_empirical(np.random.default_rng(14).normal(size=40))
         spec = QuadratureSpec()
-        profile = me.difference_profile(e, k=3, spec=spec, part="real", magnitude=False)
+        built = me.difference_profile(e, k=3, spec=spec, part="real", magnitude=False)
+        # the moments of the series cost one kernel per atom, at build time
+        assert built.counts.kernel_evals == 40
+        seen = []
+
+        def recording(r, with_magnitude):
+            seen.append(np.outer(r, [1, 2, 3]))
+            return built.evaluate(r, with_magnitude)
+
+        profile = dataclasses.replace(built, evaluate=recording)
         _, _, diag = profile.integrate(2.5, spec)
-        assert diag["points"] > 0
-        assert diag["kernel_evals"] == diag["points"] * 3 * 40
+        assert diag["points"] == sum(mr.shape[0] for mr in seen) > 0
+        # per m and radius: one read from the series, or one per atom
+        series = np.concatenate([mr.ravel() for mr in seen]) * e.atoms.radii().max() <= 0.5
+        assert 0 < np.count_nonzero(series) < series.size
+        assert diag["kernel_evals"] == np.count_nonzero(series) + 40 * np.count_nonzero(~series)
+        assert profile.counts.kernel_evals == 40 + diag["kernel_evals"]
 
     def test_radial_moment(self):
         g = cf.make_gaussian(1.0, 2)
@@ -869,8 +892,14 @@ class TestAtomicEvaluator:
         got, terms = evaluate(self.R, True)
         rho = atoms.radii()
         pos = rho > 0.0
-        # one kernel per atom off the origin and m, and one per m for g
-        assert counts.kernel_evals == self.R.size * k * (np.count_nonzero(pos) + radial)
+        n = np.count_nonzero(pos)
+        # one kernel per atom off the origin for the moments, then per m and
+        # radius one read from the series, or one per atom summed directly,
+        # and one for g
+        series = np.outer(self.R, np.arange(1, k + 1)) * rho.max() <= 0.5
+        assert 0 < np.count_nonzero(series) < series.size
+        assert counts.kernel_evals == (n + np.count_nonzero(series) + n * np.count_nonzero(~series)
+                                       + radial * series.size)
         kernel = {1: "cos", 2: "j0", 3: "sinc"}[d]
         for i, r in enumerate(self.R):
             items = []
@@ -885,3 +914,119 @@ class TestAtomicEvaluator:
             assert abs(got[i] - ref) <= 1e-15 * terms[i]
         assert got[0] == 0.0
         assert np.array_equal(evaluate(self.R, False)[0], got)
+
+
+class TestAtomicSeries:
+    """The atomic reduction's Taylor series of the kernel sum
+    ``s(y) = sum_j w_j (K(y rho_j) - 1)``, read where ``y rho_max <= 1/2``."""
+
+    KERNELS = {1: "cos", 2: "j0", 3: "sinc"}
+
+    @staticmethod
+    def _atoms(d, n=30, spread=1.0):
+        from cfmoments.measures import DiscreteMeasure
+
+        rng = np.random.default_rng(50 + d)
+        pts = rng.normal(size=(n, d)) * np.exp(spread * rng.normal(size=(n, 1)))
+        w = rng.uniform(0.5, 1.5, n)
+        return DiscreteMeasure(pts, w / w.sum())
+
+    @staticmethod
+    def _kernel_sum(atoms, r):
+        """``D`` and the term magnitudes of k = 1, where D is s itself."""
+        counts = me._EvalCounts()
+        evaluate = me._atomic_terms(atoms, me.binomial_difference_coefficients(1), counts)[0]
+        D, terms = evaluate(np.asarray(r, dtype=float), True)
+        return D, terms, counts
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_series_against_exact_atom_sum(self, d):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.prec = 160
+        atoms = self._atoms(d)
+        rho = atoms.radii()
+        z = np.concatenate([[0.0], np.geomspace(1e-8, 0.5, 120)])
+        s, terms, counts = self._kernel_sum(atoms, z / rho.max())
+        assert counts.kernel_evals == rho.size + z.size  # every radius from the series
+        kernel = {1: mpmath.cos, 2: lambda u: mpmath.besselj(0, u),
+                  3: lambda u: mpmath.sin(u) / u}[d]
+        for zi, si in zip(z / rho.max(), s):
+            y = mpmath.mpf(float(zi))
+            ref = mpmath.fsum(mpmath.mpf(float(wj)) * (kernel(y * mpmath.mpf(float(rj))) - 1)
+                              for wj, rj in zip(atoms.weights, rho)) if zi else 0
+            assert abs(mpmath.mpf(float(si)) - ref) <= 4 * np.finfo(float).eps * abs(ref)
+        assert np.array_equal(terms, -s)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_both_sides_of_the_cut(self, d):
+        atoms = self._atoms(d)
+        rho = atoms.radii()
+        cut = 0.5 / rho.max()
+        r = cut * np.array([0.99, 1.0 - 1e-15, 1.0 + 1e-15, 1.01])
+        s, terms, counts = self._kernel_sum(atoms, r)
+        # two radii from the series, two summed over the atoms
+        assert counts.kernel_evals == rho.size + 2 + 2 * rho.size
+        direct = me._kernel_minus_one(self.KERNELS[d], r[:, None] * rho[None, :]) @ atoms.weights
+        assert np.all(np.abs(s - direct) <= 2e-15 * np.abs(direct))
+        assert s[1] == pytest.approx(s[2], rel=1e-14)
+        assert np.array_equal(terms, -s)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_atoms_all_at_the_origin(self, d):
+        from cfmoments.measures import DiscreteMeasure
+
+        atoms = DiscreteMeasure(np.zeros((3, d)), np.array([0.2, 0.3, 0.5]))
+        r = np.concatenate([[0.0], np.geomspace(1e-6, 1e4, 40)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            s, terms, counts = self._kernel_sum(atoms, r)
+        assert np.all(s == 0.0) and np.all(terms == 0.0)
+        assert counts.kernel_evals == r.size
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_one_atom(self, d):
+        from cfmoments.measures import DiscreteMeasure
+
+        point = np.full((1, d), 0.7)
+        atoms = DiscreteMeasure(point, np.array([1.0]))
+        rho = atoms.radii()
+        r = np.concatenate([[0.0], np.geomspace(1e-8, 0.5, 60) / rho[0],
+                            np.geomspace(0.6, 50.0, 20) / rho[0]])
+        s, terms, _ = self._kernel_sum(atoms, r)
+        ref = me._kernel_minus_one(self.KERNELS[d], r * rho[0])
+        assert np.all(np.abs(s - ref) <= 2 * np.spacing(np.abs(ref)))
+        assert np.array_equal(terms, -s)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_wide_radii_do_not_overflow(self, d):
+        # stable-law radii: unscaled, rho**16 of the largest atom overflows
+        atoms = self._atoms(d, n=40, spread=60.0)
+        rho = atoms.radii()
+        assert rho.max() > 1e20 and rho.min() < 1e-20
+        r = np.concatenate([[0.0], np.geomspace(1e-4, 1e4, 41) / rho.max()])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            s, terms, _ = self._kernel_sum(atoms, r)
+        assert np.all(np.isfinite(s))
+        kv = me._kernel_minus_one(self.KERNELS[d], r[:, None] * rho[None, :])
+        for si, row in zip(s, kv):
+            ref = math.fsum(row * atoms.weights)
+            assert abs(si - ref) <= 1e-15 * abs(ref)
+
+    @pytest.mark.parametrize("kernel", ["cos", "j0", "sinc"])
+    def test_kernel_minus_one_is_never_positive(self, kernel):
+        y = np.concatenate([[0.0, 5e-324, 1e-300], np.geomspace(1e-12, 1e12, 20001),
+                            np.linspace(0.9, 1.1, 2001), np.linspace(0.0, 40.0, 40001),
+                            [1e100, 1e300]])
+        assert np.all(me._kernel_minus_one(kernel, y) <= 0.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_magnitude_is_minus_s_on_the_direct_path(self, d):
+        atoms = self._atoms(d)
+        rho = atoms.radii()
+        r = np.geomspace(0.6, 300.0, 50) / rho.max()
+        s, terms, counts = self._kernel_sum(atoms, r)
+        assert counts.kernel_evals == rho.size + r.size * rho.size  # no radius from the series
+        kv = me._kernel_minus_one(self.KERNELS[d], r[:, None] * rho[None, :])
+        assert np.array_equal(s, kv @ atoms.weights)
+        assert np.array_equal(terms, np.abs(kv) @ atoms.weights)
