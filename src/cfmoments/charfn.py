@@ -9,7 +9,9 @@ exact atom list for finitely supported measures, and optional analytic
 derivative / moment oracles.  A product of a radial transform with the
 transform of a finitely supported measure keeps both parts
 (:class:`RadialAtomic`), so the moment engine can average it over spheres
-exactly.
+exactly.  Most transforms also carry the power series of their sphere
+mean minus one at the origin (:class:`OriginSeries`), built on first use,
+from which the moment engine reads even-order moments.
 
 Evaluators are pure and never mutate; instances are safe to share across
 threads and to evaluate in parallel panels.
@@ -17,6 +19,7 @@ threads and to evaluate in parallel panels.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -26,7 +29,11 @@ import numpy as np
 from . import closed_forms
 from .errors import DomainError
 from .measures import DiscreteMeasure, lacunary_measure
-from .specfun import binomial_difference_coefficients
+from .specfun import (
+    MAX_DIFFERENCE_ORDER,
+    binomial_difference_coefficients,
+    plane_wave_mean_denominator,
+)
 
 __all__ = [
     "CharFn",
@@ -44,7 +51,124 @@ __all__ = [
     "real_part_difference",
     "lacunary_measure",
     "DiscreteMeasure",
+    "OriginSeries",
 ]
+
+# origin series keep the terms up to this exponent
+_EXPONENT_CAP = 2.0 * MAX_DIFFERENCE_ORDER
+# unit roundoff: one rounding moves a value by at most this share of it
+_ULP = 2.0**-53
+# exponents this close (relative) are one exponent
+_EXPONENT_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class OriginSeries:
+    """The sphere mean of ``phi - 1`` as a power series at the origin,
+    ``mean_w phi(r w) - 1 = sum_i coeffs[i] r**exponents[i]``, kept up to
+    exponent ``2 MAX_DIFFERENCE_ORDER``.
+
+    ``exponents`` are sorted and distinct; ``errors[i]`` bounds the
+    rounding of ``coeffs[i]``.  The series says nothing about how far from
+    the origin it converges.
+    """
+
+    exponents: np.ndarray
+    coeffs: np.ndarray
+    errors: np.ndarray
+
+    def coefficient(self, e: float) -> tuple[float, float]:
+        """``(b, rounding bound)`` of the term at exponent e; zero where
+        the series has none."""
+        at = np.flatnonzero(np.abs(self.exponents - e) <= _EXPONENT_TOL * max(1.0, e))
+        if at.size == 0:
+            return 0.0, 0.0
+        return float(self.coeffs[at[0]]), float(self.errors[at[0]])
+
+
+def _series(exponents, coeffs, errors) -> OriginSeries:
+    """An :class:`OriginSeries` from terms in any order: terms above the
+    cap are dropped and terms at one exponent summed, each sum's rounding
+    joining its bound."""
+    e = np.asarray(exponents, dtype=float)
+    keep = e <= _EXPONENT_CAP * (1.0 + _EXPONENT_TOL)
+    order = np.argsort(e[keep], kind="stable")
+    e = e[keep][order]
+    b = np.asarray(coeffs, dtype=float)[keep][order]
+    err = np.asarray(errors, dtype=float)[keep][order]
+    if e.size == 0:
+        return OriginSeries(e, b, err)
+    first = np.concatenate([[True], np.diff(e) > _EXPONENT_TOL * np.maximum(1.0, e[1:])])
+    group = np.cumsum(first) - 1
+    n = int(first.sum())
+    sums = np.zeros(n)
+    np.add.at(sums, group, b)
+    bound = np.zeros(n)
+    np.add.at(bound, group, err)
+    mags = np.zeros(n)
+    np.add.at(mags, group, np.abs(b))
+    bound += (np.bincount(group, minlength=n) - 1) * _ULP * mags
+    return OriginSeries(e[first], sums, bound)
+
+
+def _weighted_union(weights, parts) -> OriginSeries:
+    """The series of ``sum_i w_i S_i`` from each part's (exponents,
+    coefficients, rounding bounds); each scaled coefficient rounds once."""
+    parts = list(parts) + [(np.empty(0),) * 3]
+    weights = list(weights) + [0.0]
+    return _series(
+        np.concatenate([e for e, _, _ in parts]),
+        np.concatenate([wi * b for wi, (_, b, _) in zip(weights, parts)]),
+        np.concatenate([wi * err + _ULP * np.abs(wi * b)
+                        for wi, (_, b, err) in zip(weights, parts)]),
+    )
+
+
+def _multiples(p):
+    """The indices j >= 1 of the exponents ``p j`` up to the cap."""
+    return np.arange(1, int(_EXPONENT_CAP / p * (1.0 + _EXPONENT_TOL)) + 1)
+
+
+def _exp_terms(t, p):
+    """``exp(-t r**p) - 1 = sum_{j>=1} (-t)**j / j! r**(p j)`` up to the cap.
+
+    Each coefficient is the last one times ``-t / j``, two roundings per
+    step, so the j-th is within ``2 j`` roundings of its value.
+    """
+    j = _multiples(p)
+    with np.errstate(over="ignore"):
+        b = np.cumprod(-t / j)
+    return p * j, b, 2.0 * j * _ULP * np.abs(b)
+
+
+def _atomic_series(measure: DiscreteMeasure) -> OriginSeries:
+    """``b_l = kappa_l m_2l`` at exponent 2l, for the atoms' even moments
+    ``m_2l`` and the Taylor coefficients ``kappa_l = (-1)**l / D_l`` of the
+    sphere mean of a plane wave.
+
+    Each scaled moment sums n positive terms, each within 2l + 1 roundings;
+    scaling back, the product and the quotient add three more, and a
+    denominator above 2**53 one.
+    """
+    rho_max, M = measure.scaled_even_moments()
+    l = np.arange(1, M.size + 1)
+    den = np.array([float(plane_wave_mean_denominator(int(i), measure.dim)) for i in l])
+    with np.errstate(over="ignore"):
+        b = (-1.0) ** l * (rho_max ** (2 * l) * M) / den
+    n = np.count_nonzero(measure.radii())
+    return _series(2.0 * l, b, (n + 2 * l + 5) * _ULP * np.abs(b))
+
+
+def _product_series(a: OriginSeries, b: OriginSeries) -> OriginSeries:
+    """``(1 + A)(1 + B) - 1 = A + B + AB``: the Cauchy product of two
+    series, with the rounding of each product in its bound."""
+    prod = np.outer(a.coeffs, b.coeffs)
+    perr = (np.outer(a.errors, np.abs(b.coeffs)) + np.outer(np.abs(a.coeffs), b.errors)
+            + np.outer(a.errors, b.errors) + _ULP * np.abs(prod))
+    exps = np.add.outer(a.exponents, b.exponents)
+    return _series(np.concatenate([a.exponents, b.exponents, exps.ravel()]),
+                   np.concatenate([a.coeffs, b.coeffs, prod.ravel()]),
+                   np.concatenate([a.errors, b.errors, perr.ravel()]))
 
 
 @dataclass(frozen=True)
@@ -68,6 +192,15 @@ class CharFn:
     product of a radial transform with an atomic one (the heat flow of a
     point mass or a sample) carries ``radial_atomic``, the factors'
     :class:`RadialAtomic` form, next to its ``minus_one``.
+
+    ``origin_series``, when present, builds the :class:`OriginSeries` of
+    the sphere mean of ``phi - 1`` on its first call and keeps it, so a
+    transform costs nothing more to construct; :meth:`series` reads it.
+    The Gaussian, stable, Linnik and Schoenberg laws and every atomic law
+    carry one, and so do scalings, mixtures of transforms that all carry
+    one, and products in which the factors carry one and one factor is
+    radial (the radial factor is constant on each sphere, so the mean
+    factors) or both are atomic.  Any other transform carries none.
     """
 
     dim: int
@@ -83,6 +216,11 @@ class CharFn:
     analytic_moment: Optional[Callable[[float], float]] = None
     osc_scale: float = 0.0
     radial_atomic: Optional[RadialAtomic] = None
+    origin_series: Optional[Callable[[], OriginSeries]] = None
+
+    def series(self) -> OriginSeries | None:
+        """The origin series, built on the first read; None if there is none."""
+        return None if self.origin_series is None else self.origin_series()
 
     def _points(self, xi) -> tuple[np.ndarray, bool]:
         pts = np.asarray(xi, dtype=float)
@@ -126,7 +264,7 @@ class CharFn:
 
 
 def _radial_charfn(dim, profile_m1, label, *, envelope=None, tail_limit=0.0,
-                   atoms=None, derivative=None, analytic_moment=None):
+                   atoms=None, derivative=None, analytic_moment=None, origin_series=None):
     def minus_one(pts):
         r = np.sqrt((pts**2).sum(axis=1))
         return profile_m1(r)
@@ -143,6 +281,7 @@ def _radial_charfn(dim, profile_m1, label, *, envelope=None, tail_limit=0.0,
         atoms=atoms,
         derivative=derivative,
         analytic_moment=analytic_moment,
+        origin_series=origin_series,
     )
 
 
@@ -166,6 +305,7 @@ def make_gaussian(t: float, d: int = 1) -> CharFn:
         envelope=lambda r: np.exp(-t * np.asarray(r, dtype=float) ** 2),
         derivative=deriv,
         analytic_moment=lambda a: closed_forms.stable_moment(2.0, a, d) * t ** (a / 2.0),
+        origin_series=functools.cache(lambda: _series(*_exp_terms(t, 2.0))),
     )
 
 
@@ -195,6 +335,7 @@ def make_stable(p: float, t: float = 1.0, d: int = 1) -> CharFn:
         envelope=lambda r: np.exp(-t * np.asarray(r, dtype=float) ** p),
         derivative=None,
         analytic_moment=analytic_moment,
+        origin_series=functools.cache(lambda: _series(*_exp_terms(t, p))),
     )
 
 
@@ -215,12 +356,21 @@ def make_linnik(p: float, beta: float, d: int = 1) -> CharFn:
     def profile_m1(r):
         return np.expm1(-beta * np.log1p(r**p))
 
+    def series():
+        # binom(-beta, j) = (-1)**j beta (beta + 1) ... (beta + j - 1) / j!,
+        # each from the last by a sum, a quotient and a product
+        j = _multiples(p)
+        with np.errstate(over="ignore"):
+            b = np.cumprod(-(beta + (j - 1.0)) / j)
+        return _series(p * j, b, 3.0 * j * _ULP * np.abs(b))
+
     return _radial_charfn(
         d,
         profile_m1,
         f"linnik(p={p:g}, beta={beta:g}, d={d})",
         envelope=lambda r: (1.0 + np.asarray(r, dtype=float) ** p) ** (-beta),
         analytic_moment=lambda a: closed_forms.linnik_moment(p, beta, a, d),
+        origin_series=functools.cache(series),
     )
 
 
@@ -259,6 +409,7 @@ def make_discrete(measure: DiscreteMeasure, *, is_real: bool = False,
         derivative=deriv,
         analytic_moment=analytic_moment,
         osc_scale=float(measure.radii().max()),
+        origin_series=functools.cache(lambda: _atomic_series(measure)),
     )
 
 
@@ -319,6 +470,10 @@ def make_schoenberg(mixing: DiscreteMeasure, p: float, d: int = 1) -> CharFn:
     def analytic_moment(a):
         return closed_forms.schoenberg_moment(t, w, p, a, d)
 
+    def series():
+        # one exp series per mixing atom off zero; those at zero add none
+        return _weighted_union(w_pos, (_exp_terms(ti, p) for ti in t_pos))
+
     return _radial_charfn(
         d,
         profile_m1,
@@ -326,6 +481,7 @@ def make_schoenberg(mixing: DiscreteMeasure, p: float, d: int = 1) -> CharFn:
         envelope=envelope,
         tail_limit=w_zero,
         analytic_moment=analytic_moment,
+        origin_series=functools.cache(series),
     )
 
 
@@ -347,8 +503,13 @@ def make_product(phi: CharFn, psi: CharFn) -> CharFn:
     if phi.atoms is not None and psi.atoms is not None:
         atoms = phi.atoms.convolve(psi.atoms)
     analytic = None
+    series = None
     if atoms is not None:
         analytic = atoms.moment
+        series = functools.cache(lambda: _atomic_series(atoms))
+    elif ((phi.is_radial or psi.is_radial) and phi.origin_series is not None
+          and psi.origin_series is not None):
+        series = functools.cache(lambda: _product_series(phi.series(), psi.series()))
     return CharFn(
         dim=phi.dim,
         minus_one=_product_minus_one(phi.minus_one, psi.minus_one),
@@ -364,6 +525,7 @@ def make_product(phi: CharFn, psi: CharFn) -> CharFn:
         osc_scale=phi.osc_scale + psi.osc_scale,
         radial_atomic=None if radial else (_radial_atomic_form(phi, psi)
                                            or _radial_atomic_form(psi, phi)),
+        origin_series=series,
     )
 
 
@@ -462,6 +624,11 @@ def make_mixture(components, weights) -> CharFn:
         def analytic(a):
             return float(np.dot(w, [c.analytic_moment(a) for c in comps]))
 
+    series = None
+    if all(c.origin_series is not None for c in comps):
+        series = functools.cache(lambda: _weighted_union(
+            w, ((s.exponents, s.coeffs, s.errors) for s in (c.series() for c in comps))))
+
     return CharFn(
         dim=d,
         minus_one=minus_one,
@@ -474,6 +641,7 @@ def make_mixture(components, weights) -> CharFn:
         atoms=atoms,
         analytic_moment=analytic,
         osc_scale=max(c.osc_scale for c in comps),
+        origin_series=series,
     )
 
 
@@ -500,6 +668,16 @@ def make_scaled(phi: CharFn, c: float) -> CharFn:
         def analytic(a):
             return c**a * phi.analytic_moment(a)
 
+    series = None
+    if phi.origin_series is not None:
+        def series():
+            s = phi.series()
+            with np.errstate(over="ignore"):
+                scale = c**s.exponents
+            b = s.coeffs * scale
+            return OriginSeries(s.exponents, b, s.errors * scale + 3.0 * _ULP * np.abs(b))
+        series = functools.cache(series)
+
     return CharFn(
         dim=phi.dim,
         minus_one=minus_one,
@@ -512,6 +690,7 @@ def make_scaled(phi: CharFn, c: float) -> CharFn:
         atoms=None if phi.atoms is None else phi.atoms.scaled(c),
         analytic_moment=analytic,
         osc_scale=c * phi.osc_scale,
+        origin_series=series,
     )
 
 

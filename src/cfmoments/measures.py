@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
+from .specfun import MAX_DIFFERENCE_ORDER
 
 __all__ = ["DiscreteMeasure", "lacunary_measure"]
 
@@ -39,6 +40,7 @@ class DiscreteMeasure:
             raise DomainError("points must be finite")
         self.points = pts
         self.weights = w
+        self._even_moments = None
 
     @property
     def dim(self) -> int:
@@ -57,6 +59,24 @@ class DiscreteMeasure:
             raise DomainError("moment order must be nonnegative")
         r = self.radii()
         return math.fsum(self.weights * r**alpha)
+
+    def scaled_even_moments(self) -> tuple[float, np.ndarray]:
+        """``(rho_max, M)`` with ``M[l - 1] = sum_j w_j (rho_j / rho_max)**(2l)``
+        over the atoms off the origin, for l = 1..``MAX_DIFFERENCE_ORDER``.
+
+        The even moments are ``m_2l = rho_max**(2l) M[l - 1]``; scaled, the
+        terms are at most the weights and no atom radius can overflow them.
+        Computed on the first call, as one matrix product, and kept.
+        """
+        if self._even_moments is None:
+            rho = self.radii()
+            pos = rho > 0.0
+            radii = rho[pos]
+            rho_max = float(radii.max(initial=0.0))
+            powers = 2 * np.arange(1, MAX_DIFFERENCE_ORDER + 1)
+            M = ((radii / rho_max)[None, :] ** powers[:, None]) @ self.weights[pos]
+            self._even_moments = (rho_max, M)
+        return self._even_moments
 
     def convolve(self, other: "DiscreteMeasure") -> "DiscreteMeasure":
         """Atomic convolution: all pairwise sums with product weights."""

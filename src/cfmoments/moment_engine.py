@@ -40,6 +40,10 @@ evaluated (``points``) and the kernel evaluations behind them
 directly, one per atom and built Chebyshev block, and one per atomic
 kernel sum read from its series, whose moments cost one per atom when the
 profile is built).
+
+Even-integer orders take no difference integral where the transform
+carries its origin series: :func:`even_order_moment` reads the moment
+from one coefficient.
 """
 
 from __future__ import annotations
@@ -69,6 +73,7 @@ from .specfun import (
     MAX_DIFFERENCE_ORDER,
     binomial_difference_coefficients,
     moment_constant,
+    plane_wave_mean_denominator,
     power_difference_sum,
     sphere_area,
 )
@@ -96,8 +101,10 @@ class MomentResult:
     """Computed absolute moment with provenance.
 
     ``formula`` records which evaluation route produced the value:
-    the complex difference formula (M12), the real-part formula (M13),
-    the even-order limit, an exact atom sum, or an analytic oracle.
+    the complex difference formula (M12), the real-part formula (M13), an
+    even order read from the origin series (even-series) or taken as the
+    limit of nearby orders (even-limit), an exact atom sum, or an analytic
+    oracle.
     """
 
     value: float
@@ -116,8 +123,8 @@ def select_difference_order(alpha: float, prefer_real: bool = True):
 
     Non-integer orders take the smallest odd k with ``alpha < k + 1`` under
     the real-part formula, which also covers odd-integer orders through
-    ``alpha = k``.  Even-integer orders have no direct formula and route to
-    the limiting procedure.  With ``prefer_real=False`` a non-integer order
+    ``alpha = k``.  Even-integer orders have no difference formula and
+    route to :func:`even_order_moment`.  With ``prefer_real=False`` a non-integer order
     may instead use the complex formula at ``k = floor(alpha) + 1``.
     """
     if alpha <= 0:
@@ -188,12 +195,72 @@ def _kernel_minus_one(kernel, y):
     return out
 
 
+# Hankel's expansion of J0 (DLMF 10.17.1; Watson, Bessel Functions, 7.21):
+# J0(u) = Re[sqrt(2/(pi u)) exp(i (u - pi/4)) sum_k i**k a_k u**-k], with
+# a_k = (-1)**k 1**2 3**2 ... (2k - 1)**2 / (k! 8**k); the tail takes the
+# first _HANKEL_TERMS terms, and a_K of the first omitted one bounds the rest
+_HANKEL_TERMS = 8
+_HANKEL_A = np.array([(-1) ** k * math.prod((2 * i - 1) ** 2 for i in range(1, k + 1))
+                      / (math.factorial(k) * 8**k) for k in range(_HANKEL_TERMS + 1)])
+# the integration-by-parts series keep at most this many terms, as in
+# specfun.trig_power_tail
+_TAIL_SERIES_TERMS = 200
+
+
 def _j0_tail_asymptotic(y, alpha):
-    """Leading Bessel asymptotics ``sqrt(2/(pi u)) cos(u - pi/4)``; the
-    residual stays below 0.2 u**-1.5 once u is past a few units."""
-    t, te = trig_tail_integral(y, alpha + 0.5)
-    val = math.sqrt(2.0 / math.pi) * math.sqrt(0.5) * (np.real(t) + np.imag(t))
-    err = 2.0 * te + 0.2 * y ** (-alpha - 1.5) / (alpha + 1.5)
+    """``int_y^inf u**(-1-alpha) J0(u) du`` for ``y >= max(32, 4 (1 +
+    alpha))``, from Hankel's expansion.
+
+    Term k of the expansion is ``A_k u**(-1-nu_k) exp(iu)`` with
+    ``nu_k = alpha + 1/2 + k``, whose tail integration by parts unrolls
+    into ``exp(iy) sum_j c_j(nu_k) y**(-nu_k-j)`` with ``c_0 = i`` and
+    ``c_(j+1) = -i (nu_k + j) c_j`` (as in
+    :func:`~cfmoments.specfun.trig_power_tail`).  Collecting the powers of
+    y gives one series, ``sum_n C_n y**(-nu_0-n)``, summed per limit
+    while the sum ``D_n y**(-nu_0-n)`` of its parts' magnitudes decreases,
+    and cut at the smallest one or below 1e-16 of the sum; that last
+    magnitude bounds every part's remainder together; far coefficients may
+    overflow, and a term that is not finite stops the sum.  For real u the
+    expansion's own remainder after K terms is below ``sqrt(2/(pi u))
+    (|a_K| u**-K + |a_(K+1)| u**-(K+1))``, which is below ``|a_K| u**-K``
+    once u >= 32, and integrates to ``|a_K| y**(-alpha-K-1/2) / (alpha + K
+    + 1/2)``.
+    """
+    y = np.asarray(y, dtype=float)
+    flat = y.ravel()
+    K, N = _HANKEL_TERMS, _TAIL_SERIES_TERMS
+    nu0 = 1.5 + alpha
+    amp = (math.sqrt(2.0 / math.pi) * _HANKEL_A[:K] * 1j ** np.arange(K)
+           * complex(math.sqrt(0.5), -math.sqrt(0.5)))
+    acc = np.zeros(flat.size, dtype=complex)
+    bound = np.zeros(flat.size)
+    prev = np.full(flat.size, math.inf)
+    live = np.arange(flat.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # c_j(nu_k) = i (-i)**j (nu_k)_j, row k; the powers n = k + j collected
+        rising = np.cumprod(np.concatenate(
+            [np.ones((K, 1)), nu0 + np.arange(K)[:, None] + np.arange(N - 1)[None, :]],
+            axis=1), axis=1)
+        phase = 1j * (-1j) ** np.arange(N)
+        C = np.zeros(N, dtype=complex)
+        D = np.zeros(N)
+        for k in range(K):
+            C[k:] += amp[k] * phase[:N - k] * rising[k, :N - k]
+            D[k:] += abs(amp[k]) * rising[k, :N - k]
+        for n in range(N):
+            if live.size == 0:
+                break
+            power = flat[live] ** (-nu0 - n)
+            mag = D[n] * power
+            falling = mag < prev[live]
+            live, power, mag = live[falling], power[falling], mag[falling]
+            acc[live] += C[n] * power
+            bound[live] = mag
+            prev[live] = mag
+            live = live[mag >= 1e-16 * np.maximum(np.abs(acc[live]), 1e-300)]
+    nu = alpha + 0.5 + K
+    val = np.real(np.exp(1j * flat) * acc).reshape(y.shape)
+    err = (bound + abs(_HANKEL_A[K]) * flat ** (-nu) / nu).reshape(y.shape)
     return val, err
 
 
@@ -526,15 +593,17 @@ def _atomic_terms(atoms, coeffs, counts, g=None):
     Where every argument is small, ``z = y rho_max <= 1/2``, it is read
     from its Taylor series ``sum_l kappa_l M_l z**(2l)`` over l = 1..8,
     with the kernel's coefficients kappa_l and the atoms' scaled even
-    moments ``M_l = sum_j w_j (rho_j / rho_max)**(2l)``: positive terms,
-    taken once per profile, that no atom radius can overflow.  There the
+    moments ``M_l = sum_j w_j (rho_j / rho_max)**(2l)``: positive terms
+    that no atom radius can overflow, taken once per measure
+    (:meth:`DiscreteMeasure.scaled_even_moments`, shared with the
+    transform's origin series).  There the
     terms alternate with ratio at most z**2 / 12, and the first omitted
     one is below 5e-21 of the leading one; a call leaves out the terms
     below 2**-60 of the leading one at its largest z, most of them deep in
     the origin head.  Larger arguments sum the
     kernels atom by atom.  The weights are positive and ``K - 1 <= 0``,
     so ``-s`` is the sum of the terms' magnitudes.  The moments cost one
-    kernel evaluation per atom, charged when the evaluator is built; each
+    kernel evaluation per atom, charged to every evaluator built on them; each
     point then costs one per m read from the series, one per atom off the
     origin and m summed directly, and one per m for ``g``.
     The returned frequency and tail are the atomic law's alone; a caller
@@ -551,12 +620,10 @@ def _atomic_terms(atoms, coeffs, counts, g=None):
     w_total = float(atoms.weights.sum())
     k = coeffs.size - 1
     ms = np.arange(1, k + 1)
-    rho_max = radii.max(initial=0.0)
-    powers = 2 * np.arange(1, _SERIES_TERMS + 1)
-    moments = ((radii / rho_max)[None, :] ** powers[:, None]) @ weights
+    rho_max, moments = atoms.scaled_even_moments()
     counts.kernel_evals += radii.size
     den = _KERNEL_DENOMINATORS[kernel][:_SERIES_TERMS]
-    series = _KERNEL_SIGNS[:_SERIES_TERMS] * moments / den
+    series = _KERNEL_SIGNS[:_SERIES_TERMS] * moments[:_SERIES_TERMS] / den
     # as M_l <= M_1, the term of z**(2l + 2) is below 2**-60 of the leading
     # one wherever z**2 is below the l-th of these
     needed = (2.0**-60 * den[1:] / den[0]) ** (1.0 / np.arange(1, _SERIES_TERMS))
@@ -902,7 +969,9 @@ def absolute_moment(phi: CharFn, alpha: float, spec: QuadratureSpec | None = Non
                     method: str = "auto") -> MomentResult:
     """Absolute moment of order alpha of the measure behind ``phi``.
 
-    Even-integer orders route to :func:`even_order_moment`.  ``method``
+    Even-integer orders route to :func:`even_order_moment`: one coefficient
+    of the origin series where ``phi`` carries one, the limit of nearby
+    orders otherwise.  ``method``
     may force the exact atom sum or analytic oracle (``'exact'``) instead
     of quadrature.  Raises :class:`DivergenceSuspectedError` when the
     difference integral behaves like that of a measure without a finite
@@ -921,7 +990,7 @@ def absolute_moment(phi: CharFn, alpha: float, spec: QuadratureSpec | None = Non
                                 "analytic-oracle", None)
         raise DomainError(f"{phi.label} carries no exact moment oracle")
     if _is_near_integer(alpha, _GUARD_BAND) and round(alpha) % 2 == 0:
-        if formula not in (None, "even-limit"):
+        if formula not in (None, "even-limit", "even-series"):
             raise DomainError(
                 "orders at (or within the guard band of) an even integer are "
                 "outside the difference formulas' hypotheses; use the "
@@ -964,24 +1033,39 @@ def absolute_moment(phi: CharFn, alpha: float, spec: QuadratureSpec | None = Non
 
 def even_order_moment(phi: CharFn, order: int, spec: QuadratureSpec | None = None,
                       *, eps0: float = 0.1, steps: int = 7) -> MomentResult:
-    """Even-integer moments as the limit of nearby fractional orders.
+    """Even-integer moments ``E|X|**order``.
 
-    Evaluates the moment at ``order - eps0 * 2**-j`` for j = 0..steps-1 and
-    Richardson-extrapolates the final three values; the caller must know
-    the measure has moments beyond ``order`` for the limit to exist.  The
-    extrapolation spread is reported as the error estimate.
+    Where ``phi`` carries an origin series (:meth:`CharFn.series`) the
+    moment is one of its coefficients (route ``'even-series'``).  The sphere
+    mean of ``exp(-i xi . x)`` is ``sum_l kappa_l (r |x|)**(2l)`` with
+    ``kappa_l = (-1)**l / D_l`` (:func:`~cfmoments.specfun.plane_wave_mean_denominator`),
+    so the sphere mean of ``phi - 1`` is ``sum_l kappa_l E|X|**(2l) r**(2l)``
+    and ``E|X|**(2j) = b_j / kappa_j`` for the coefficient ``b_j`` of
+    ``r**(2j)``.  The error estimate is the coefficient's rounding bound
+    carried through the quotient; the diagnostics hold the exponent, b_j
+    and kappa_j.  A nonzero term at an exponent below ``2j`` that is not an
+    even integer (a stable or Linnik law, or a heat flow, with p < 2) means
+    the moment is infinite and raises :class:`DivergenceSuspectedError`, as
+    does a negative quotient.  Orders up to ``2 MAX_DIFFERENCE_ORDER``, the
+    series' last exponent, are supported.
 
-    The evaluations use difference order ``k = order + 1``: there the
+    A transform without a series takes the limit of nearby fractional
+    orders (route ``'even-limit'``, orders up to ``MAX_DIFFERENCE_ORDER -
+    1``): the moment at ``order - eps0 * 2**-j`` for j = 0..steps-1,
+    Richardson-extrapolated over the final three values; the caller must
+    know the measure has moments beyond ``order`` for the limit to exist.
+    The extrapolation spread is reported as the error estimate.  Those
+    evaluations use difference order ``k = order + 1``: there the
     degeneration at the even integer sits in the constants (the
     alternating sum and the sine factor vanish together, both computed
     accurately near their zeros) while the integral itself stays regular.
-    The smallest admissible odd k would instead put the limit point on the
-    boundary of the formula's range, where the origin mass blows up like
-    ``1/(order - alpha)`` and amplifies cancellation noise.
     """
     spec = spec or QuadratureSpec()
     if order <= 0 or order % 2 != 0:
         raise DomainError("order must be a positive even integer")
+    series = phi.series()
+    if series is not None:
+        return _even_from_series(phi, series, order)
     if order + 1 > MAX_DIFFERENCE_ORDER:
         raise DomainError(
             f"even-order limit supports orders up to {MAX_DIFFERENCE_ORDER - 1}"
@@ -1013,3 +1097,35 @@ def even_order_moment(phi: CharFn, order: int, spec: QuadratureSpec | None = Non
             "extrapolants": [r1a, r1b, r2],
         },
     )
+
+
+def _even_from_series(phi: CharFn, series, order: int) -> MomentResult:
+    """``E|X|**order = b_j / kappa_j`` from the origin series (see
+    :func:`even_order_moment`)."""
+    if order > 2 * MAX_DIFFERENCE_ORDER:
+        raise DomainError(
+            f"origin series hold orders up to {2 * MAX_DIFFERENCE_ORDER}"
+        )
+    j = order // 2
+    below = (series.exponents < order - _INT_TOL) & (series.coeffs != 0.0)
+    odd = np.abs(series.exponents / 2.0 - np.round(series.exponents / 2.0)) > _INT_TOL
+    if np.any(below & odd):
+        e = float(series.exponents[np.flatnonzero(below & odd)[0]])
+        raise DivergenceSuspectedError(
+            f"the origin series of {phi.label} has a term in r**{e:g}: its moments "
+            f"of order above {e:g} are infinite",
+            alpha=float(order),
+        )
+    b, b_err = series.coefficient(float(order))
+    den = plane_wave_mean_denominator(j, phi.dim)
+    value = (-1) ** j * b * den
+    # float(den) and the product each round once
+    error = b_err * den + 2.0 * 2.0**-53 * abs(value)
+    if not math.isfinite(value) or value < 0.0:
+        raise DivergenceSuspectedError(
+            f"the origin series of {phi.label} gives the order-{order} moment "
+            f"{value:.3e}, which no law has",
+            alpha=float(order),
+        )
+    return MomentResult(value, error, "even-series", None,
+                        {"exponent": order, "coefficient": b, "kappa": (-1) ** j / den})

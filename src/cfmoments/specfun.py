@@ -31,6 +31,7 @@ __all__ = [
     "cosine_difference_kernel",
     "cosine_difference_kernel_bound",
     "trig_power_tail",
+    "plane_wave_mean_denominator",
     "MAX_DIFFERENCE_ORDER",
 ]
 
@@ -200,6 +201,23 @@ def sphere_area(d: int) -> float:
     if d == 1:
         return 2.0
     return 2.0 * math.pi ** (d / 2.0) / gamma(d / 2.0)
+
+
+def plane_wave_mean_denominator(l: int, d: int) -> int:
+    """``D_l = 4**l l! Gamma(l + d/2) / Gamma(d/2)``, an exact integer.
+
+    The sphere mean of a plane wave, ``K_d(y) = mean_w exp(-i y w_1)``, has
+    the Taylor series ``sum_l (-1)**l y**(2l) / D_l``: (2l)! in d = 1
+    (cos), ``4**l (l!)**2`` in d = 2 (J0), (2l + 1)! in d = 3 (sinc).  The
+    product of the factors ``2 (i + 1) (2 i + d)`` over i < l is exact in
+    integers, so a quotient by it rounds once.
+    """
+    if l < 0 or d < 1:
+        raise DomainError("need l >= 0 and d >= 1")
+    den = 1
+    for i in range(l):
+        den *= 2 * (i + 1) * (2 * i + d)
+    return den
 
 
 def cosine_difference_kernel(k: int, r):

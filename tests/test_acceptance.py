@@ -140,7 +140,8 @@ def test_criterion_03_formula_coincidence_and_k_invariance():
 
 def test_criterion_04_even_order_limit():
     res = me.even_order_moment(cf.make_gaussian(1.0, 1), 2)
-    assert res.value == pytest.approx(2.0, abs=1e-4)
+    assert res.formula == "even-series"
+    assert res.value == pytest.approx(2.0, rel=1e-12)
     report("criterion 4: even-order limit", f"value {res.value:.8f}")
 
 

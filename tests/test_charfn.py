@@ -271,3 +271,137 @@ class TestMeasures:
         b = DiscreteMeasure(np.array([[10.0], [20.0]]))
         c = a.convolve(b)
         assert sorted(c.points[:, 0]) == [11.0, 12.0, 21.0, 22.0]
+
+
+class TestOriginSeries:
+    """The sphere mean of ``phi - 1`` as a power series at the origin,
+    one law per source against an mpmath Taylor expansion."""
+
+    T = 0.7
+
+    @staticmethod
+    def _taylor(f, order):
+        """Taylor coefficients 0..order of f at 0, in 50-digit arithmetic."""
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        return [float(c) for c in mpmath.taylor(f, 0, order)]
+
+    @staticmethod
+    def _check(series, exponents, ref):
+        got = series.coeffs
+        assert np.array_equal(series.exponents, np.asarray(exponents, dtype=float))
+        ref = np.asarray(ref)
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref) + 1e-300)
+        assert np.all(np.abs(got - ref) <= series.errors + 2e-16 * np.abs(ref))
+
+    def _even(self, f):
+        """Coefficients of r**2 .. r**24 of an even function of r."""
+        c = self._taylor(f, 24)
+        return 2.0 * np.arange(1, 13), [c[2 * j] for j in range(1, 13)]
+
+    def test_gaussian(self):
+        mpmath = pytest.importorskip("mpmath")
+        e, ref = self._even(lambda r: mpmath.exp(-self.T * r**2) - 1)
+        self._check(cf.make_gaussian(self.T, 2).series(), e, ref)
+
+    @pytest.mark.parametrize("p", [0.7, 1.5])
+    def test_stable_in_powers_of_r_to_the_p(self, p):
+        mpmath = pytest.importorskip("mpmath")
+        n = int(24 / p)
+        c = self._taylor(lambda s: mpmath.exp(-self.T * s) - 1, n)
+        self._check(cf.make_stable(p, self.T, 1).series(), p * np.arange(1, n + 1), c[1:])
+
+    @pytest.mark.parametrize("beta", [2.0, 3.5])
+    def test_linnik(self, beta):
+        mpmath = pytest.importorskip("mpmath")
+        e, ref = self._even(lambda r: (1 + r**2) ** (-beta) - 1)
+        self._check(cf.make_linnik(2.0, beta, 3).series(), e, ref)
+
+    def test_schoenberg_mixing_atom_at_zero_adds_nothing(self):
+        mpmath = pytest.importorskip("mpmath")
+        mixing = DiscreteMeasure(np.array([[0.0], [0.5], [2.0]]), np.array([0.2, 0.5, 0.3]))
+        e, ref = self._even(lambda r: 0.5 * mpmath.exp(-0.5 * r**2)
+                            + 0.3 * mpmath.exp(-2.0 * r**2) - 0.8)
+        self._check(cf.make_schoenberg(mixing, 2.0, 1).series(), e, ref)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_atoms(self, d):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(60 + d)
+        pts = rng.normal(scale=0.8, size=(7, d))
+        pts[0] = 0.0
+        w = rng.uniform(0.5, 1.5, 7)
+        measure = DiscreteMeasure(pts, w)
+        rho = [mpmath.mpf(float(x)) for x in measure.radii()]
+        kernel = {1: mpmath.cos, 2: lambda u: mpmath.besselj(0, u),
+                  3: lambda u: mpmath.sinc(u)}[d]
+        e, ref = self._even(lambda r: mpmath.fsum(
+            mpmath.mpf(float(wj)) * kernel(r * rj) for wj, rj in zip(measure.weights, rho)) - 1)
+        self._check(cf.make_discrete(measure).series(), e, ref)
+
+    def test_product_of_two_atomic_laws(self):
+        a = cf.make_empirical(np.array([[0.3], [-1.1]]))
+        b = cf.make_point_mass([0.6])
+        got = cf.make_product(a, b).series()
+        ref = cf.make_discrete(a.atoms.convolve(b.atoms)).series()
+        assert np.allclose(got.coeffs, ref.coeffs, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_radial_atomic_heat_flow(self, d):
+        from cfmoments.heat import evolve
+
+        mpmath = pytest.importorskip("mpmath")
+        a = np.array([0.6, -0.5, 0.3][:d])
+        rho = mpmath.mpf(float(np.linalg.norm(a)))
+        kernel = {1: mpmath.cos, 2: lambda u: mpmath.besselj(0, u),
+                  3: lambda u: mpmath.sinc(u)}[d]
+        e, ref = self._even(lambda r: mpmath.exp(-self.T * r**2) * kernel(r * rho) - 1)
+        ev = evolve(cf.make_point_mass(a), 2.0, self.T)
+        assert ev.radial_atomic is not None
+        self._check(ev.series(), e, ref)
+
+    def test_radial_times_radial(self):
+        mpmath = pytest.importorskip("mpmath")
+        e, ref = self._even(lambda r: mpmath.exp(-self.T * r**2) * (1 + r**2) ** -1.5 - 1)
+        self._check(cf.make_product(cf.make_gaussian(self.T, 2),
+                                    cf.make_linnik(2.0, 1.5, 2)).series(), e, ref)
+
+    def test_scaled(self):
+        mpmath = pytest.importorskip("mpmath")
+        e, ref = self._even(lambda r: (1 + (1.7 * r) ** 2) ** -2.5 - 1)
+        self._check(cf.make_scaled(cf.make_linnik(2.0, 2.5, 1), 1.7).series(), e, ref)
+
+    def test_mixture_merges_equal_exponents(self):
+        mpmath = pytest.importorskip("mpmath")
+        mix = cf.make_mixture([cf.make_gaussian(self.T, 1), cf.make_linnik(2.0, 1.5, 1)],
+                              [0.4, 0.6])
+        e, ref = self._even(lambda r: 0.4 * mpmath.exp(-self.T * r**2)
+                            + 0.6 * (1 + r**2) ** -1.5 - 1)
+        self._check(mix.series(), e, ref)
+        union = cf.make_mixture([cf.make_gaussian(1.0, 1), cf.make_stable(1.5, 1.0, 1)],
+                                [0.5, 0.5]).series()
+        assert np.all(np.diff(union.exponents) > 0)
+        assert union.coefficient(1.5) == (-0.5, union.errors[0])
+        assert union.coefficient(2.0)[0] == -0.5
+
+    def test_transforms_without_a_series(self):
+        from cfmoments.heat import evolve
+
+        g = cf.make_gaussian(1.0, 2)
+        custom = cf.CharFn(dim=2, minus_one=g.minus_one, is_radial=True, is_real=True,
+                           radial_minus_one=g.radial_minus_one)
+        flow = evolve(cf.make_point_mass([0.3, 0.4]), 2.0, 0.5)
+        # neither factor radial, and one carries no atoms
+        assert cf.make_product(flow, cf.make_point_mass([1.0, 0.0])).series() is None
+        assert custom.series() is None
+        assert cf.make_product(custom, g).series() is None
+        assert cf.make_mixture([custom, g], [0.5, 0.5]).series() is None
+        assert cf.make_scaled(custom, 2.0).series() is None
+
+    def test_built_on_first_read_and_kept(self):
+        measure = DiscreteMeasure(np.random.default_rng(3).normal(size=(50, 2)))
+        phi = cf.make_product(cf.make_discrete(measure), cf.make_gaussian(0.5, 2))
+        assert measure._even_moments is None
+        series = phi.series()
+        assert measure._even_moments is not None
+        assert phi.series() is series

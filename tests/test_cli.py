@@ -109,8 +109,8 @@ class TestMomentTask:
         })
         proc = run_cli(["moment", "--config", cfg])
         rep = json.loads(proc.stdout)
-        assert rep["rows"][0]["formula"] == "even-limit"
-        assert rep["rows"][0]["value"] == pytest.approx(2.0, abs=1e-4)
+        assert rep["rows"][0]["formula"] == "even-series"
+        assert rep["rows"][0]["value"] == pytest.approx(2.0, rel=1e-12)
 
 
 class TestMetricTask:
