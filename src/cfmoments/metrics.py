@@ -1,18 +1,19 @@
 """Transform-side probability metrics, seminorms and the membership classifier.
 
-Sup-type quantities (uniform distance, Holder-weighted distance) are grid
-suprema over logarithmic radii times sphere directions with one local
-refinement pass; true suprema over R^d are not computable and every result
-carries its grid report so callers can tighten.  Integral-type seminorms
-and membership take their integrand from the moment engine's
+Sup-type quantities (uniform distance, Holder-weighted distance, the
+difference Holder sup) are grid suprema over logarithmic radii times sphere
+directions with one local refinement pass; true suprema over R^d are not
+computable and every result carries its grid report so callers can
+tighten.  Integral-type seminorms and membership take their integrand from
+the moment engine's
 :func:`~cfmoments.moment_engine.difference_profile` with the absolute value
-taken inside the angular mean, and the derivative seminorm hands its own
-evaluator to the same :class:`~cfmoments.moment_engine.DifferenceProfile`;
-all of them share the engine's head, panels and tail strategies.  The
-membership classifier combines three signals, all read from the engine's
-own pass and its diagnostics: the exponent of the origin head model,
-stabilization of the last octaves the mid panels added before the tail,
-and sign consistency of the implied moment.
+taken inside the angular mean, and the derivative seminorm from its
+:func:`~cfmoments.moment_engine.derivative_profile`, the same angular mean
+over a derivative reader; all of them share the engine's head, panels and
+tail strategies.  The membership classifier combines three signals, all
+read from the engine's own pass and its diagnostics: the exponent of the
+origin head model, stabilization of the last octaves the mid panels added
+before the tail, and sign consistency of the implied moment.
 """
 
 from __future__ import annotations
@@ -23,19 +24,9 @@ import numpy as np
 
 from .charfn import CharFn, make_point_mass
 from .errors import DivergenceSuspectedError, DomainError
-from .moment_engine import (
-    DifferenceProfile,
-    SinSeriesTail,
-    StabilizedTail,
-    absolute_moment,
-    difference_profile,
-)
+from .moment_engine import absolute_moment, derivative_profile, difference_profile
 from .quadrature import QuadratureSpec, sphere_rule
-from .specfun import (
-    binomial_difference_coefficients,
-    difference_integral_constant,
-    sphere_area,
-)
+from .specfun import binomial_difference_coefficients, difference_integral_constant
 
 __all__ = [
     "GridSpec",
@@ -99,16 +90,16 @@ class MembershipReport:
     details: dict = field(default_factory=dict)
 
 
-def _pair_magnitude(phi, psi, pts):
-    a = np.asarray(phi.minus_one(pts))
-    if psi is None:
-        return np.abs(a)
-    return np.abs(a - np.asarray(psi.minus_one(pts)))
+def _pair_magnitude(phi, psi):
+    """``|phi - psi|`` at an array of points."""
+    def magnitude(pts):
+        return np.abs(np.asarray(phi.minus_one(pts)) - np.asarray(psi.minus_one(pts)))
+    return magnitude
 
 
-def _grid_sup(phi, psi, weight_exponent, grid):
-    """Sup of |phi - psi| / r**weight_exponent over the grid, refined once."""
-    d = phi.dim
+def _grid_sup(magnitude, d, weight_exponent, grid):
+    """Sup of ``magnitude / r**weight_exponent`` over the grid of radii
+    times directions in R^d, refined once around the best grid point."""
     radii = np.geomspace(grid.r_min, grid.r_max, grid.n_radial)
     nodes, _ = sphere_rule(d, grid.sphere_order) if d > 1 else (np.array([[1.0]]), None)
     best = -1.0
@@ -116,7 +107,7 @@ def _grid_sup(phi, psi, weight_exponent, grid):
     best_node = nodes[0]
     for node in nodes:
         pts = radii[:, None] * node[None, :]
-        vals = _pair_magnitude(phi, psi, pts) / radii**weight_exponent
+        vals = magnitude(pts) / radii**weight_exponent
         i = int(np.argmax(vals))
         if vals[i] > best:
             best = float(vals[i])
@@ -126,7 +117,7 @@ def _grid_sup(phi, psi, weight_exponent, grid):
     hi = radii[min(best_r_idx + 1, radii.size - 1)]
     fine = np.geomspace(lo, hi, grid.refine_nodes)
     pts = fine[:, None] * best_node[None, :]
-    vals = _pair_magnitude(phi, psi, pts) / fine**weight_exponent
+    vals = magnitude(pts) / fine**weight_exponent
     refined = float(vals.max())
     i_fine = int(np.argmax(vals))
     report = {
@@ -144,7 +135,7 @@ def sup_distance(phi: CharFn, psi: CharFn, grid: GridSpec | None = None) -> Metr
     if phi.dim != psi.dim:
         raise DomainError("dimension mismatch")
     grid = grid or GridSpec()
-    val, report = _grid_sup(phi, psi, 0.0, grid)
+    val, report = _grid_sup(_pair_magnitude(phi, psi), phi.dim, 0.0, grid)
     return MetricResult(val, sup_component=val, grid_report=report)
 
 
@@ -163,7 +154,7 @@ def holder_distance(phi: CharFn, psi: CharFn, beta: float,
             "at beta >= 2"
         )
     grid = grid or GridSpec()
-    val, report = _grid_sup(phi, psi, beta, grid)
+    val, report = _grid_sup(_pair_magnitude(phi, psi), phi.dim, beta, grid)
     return MetricResult(val, sup_component=val, grid_report=report)
 
 
@@ -174,22 +165,16 @@ def holder_seminorm(phi: CharFn, beta: float, grid: GridSpec | None = None) -> f
 
 def difference_holder_sup(phi: CharFn, k: int, beta: float,
                           grid: GridSpec | None = None) -> float:
-    """Grid sup of ``|Delta_xi^k phi(0)| / |xi|**beta``."""
+    """Grid sup of ``|Delta_xi^k phi(0)| / |xi|**beta``, refined once as
+    :func:`holder_distance` is."""
     if not 0.0 < beta <= k:
         raise DomainError("need 0 < beta <= k")
-    grid = grid or GridSpec()
     coeffs = binomial_difference_coefficients(k)
-    d = phi.dim
-    radii = np.geomspace(grid.r_min, grid.r_max, grid.n_radial)
-    nodes, _ = sphere_rule(d, grid.sphere_order) if d > 1 else (np.array([[1.0]]), None)
-    best = 0.0
-    for node in nodes:
-        acc = np.zeros(radii.size, dtype=complex)
-        for m in range(1, k + 1):
-            pts = (m * radii)[:, None] * node[None, :]
-            acc += coeffs[m] * np.asarray(phi.minus_one(pts))
-        best = max(best, float((np.abs(acc) / radii**beta).max()))
-    return best
+
+    def magnitude(pts):
+        return np.abs(sum(coeffs[m] * np.asarray(phi.minus_one(m * pts)) for m in range(1, k + 1)))
+
+    return _grid_sup(magnitude, phi.dim, beta, grid or GridSpec())[0]
 
 
 def difference_seminorm(phi: CharFn, psi: CharFn, alpha: float, k: int,
@@ -346,24 +331,6 @@ def derivative_seminorm(phi: CharFn, sigma, gamma: float,
         return integral_distance(phi, _const_one(phi.dim), gamma, spec).value
     if phi.derivative is None:
         raise DomainError(f"{phi.label} carries no derivative oracle")
-    d = phi.dim
-    order = sum(sigma)
-    base = complex(np.asarray(phi.derivative(sigma, np.zeros((1, d))))[0])
-    nodes, node_w = sphere_rule(d, spec.sphere_order)
-    area = sphere_area(d)
-
-    def evaluate(r, with_magnitude):
-        pts = r[:, None, None] * nodes[None, :, :]
-        vals = np.asarray(phi.derivative(sigma, pts.reshape(-1, d))).reshape(r.size, -1)
-        return (np.abs(vals - base) @ node_w) / area, None
-
-    tail = StabilizedTail(abs(base))
-    if phi.atoms is not None and phi.atoms.size == 1 and d == 1:
-        # single atom at a: |phi^(m)(xi) - phi^(m)(0)| = |a|**m 2|sin(a xi/2)|
-        c = abs(float(phi.atoms.points[0, 0]))
-        if c > 0.0:
-            tail = SinSeriesTail(c, c**order)
-
-    profile = DifferenceProfile(evaluate, area, float(phi.osc_scale), magnitude=True, tail=tail)
+    profile = derivative_profile(phi, sigma, spec=spec)
     value, error, diag = profile.integrate(gamma, spec)
     return max(profile.angular * float(np.real(value)), 0.0)

@@ -2,8 +2,10 @@
 
 The moment of order alpha is a normalizing constant times the integral of
 ``Delta_xi^k phi(0) / |xi|^(d+alpha)`` over R^d.  Every difference integral
-of the package (moments, seminorms, membership, the derivative seminorm)
-is built by one builder, :func:`difference_profile`.  It reduces the
+of the package (moments, seminorms, membership) is built by one builder,
+:func:`difference_profile`, and the derivative seminorm's
+:func:`derivative_profile` reuses its angular loop, geometry and node
+readers.  The builder reduces the
 integrand to a one-dimensional :class:`DifferenceProfile` ``D(r)`` by one
 of two evaluators.  Signed differences of a finitely supported measure
 reduce exactly over its atoms, whose sphere means are the kernels cos, J0
@@ -58,8 +60,8 @@ from scipy.special import j0 as _bessel_j0
 from .charfn import CharFn
 from .errors import DivergenceSuspectedError, DomainError, QuadratureError
 from .quadrature import (
+    _TAIL_ROUNDING,
     ChebyshevBlocks,
-    OriginModel,
     QuadratureSpec,
     adaptive_panel_integral,
     bridged_tail,
@@ -87,6 +89,7 @@ __all__ = [
     "fulldim_difference_integral",
     "DifferenceProfile",
     "difference_profile",
+    "derivative_profile",
 ]
 
 _INT_TOL = 1e-9
@@ -224,7 +227,9 @@ def _j0_tail_asymptotic(y, alpha):
     expansion's own remainder after K terms is below ``sqrt(2/(pi u))
     (|a_K| u**-K + |a_(K+1)| u**-(K+1))``, which is below ``|a_K| u**-K``
     once u >= 32, and integrates to ``|a_K| y**(-alpha-K-1/2) / (alpha + K
-    + 1/2)``.
+    + 1/2)``.  The rounding of the sum and of its phase adds the tails'
+    eight ulp of ``sum_n D_n y**(-nu_0-n)``, which the value itself can
+    fall far below near a zero of its phase.
     """
     y = np.asarray(y, dtype=float)
     flat = y.ravel()
@@ -234,6 +239,7 @@ def _j0_tail_asymptotic(y, alpha):
            * complex(math.sqrt(0.5), -math.sqrt(0.5)))
     acc = np.zeros(flat.size, dtype=complex)
     bound = np.zeros(flat.size)
+    total = np.zeros(flat.size)
     prev = np.full(flat.size, math.inf)
     live = np.arange(flat.size)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -256,11 +262,13 @@ def _j0_tail_asymptotic(y, alpha):
             live, power, mag = live[falling], power[falling], mag[falling]
             acc[live] += C[n] * power
             bound[live] = mag
+            total[live] += mag
             prev[live] = mag
             live = live[mag >= 1e-16 * np.maximum(np.abs(acc[live]), 1e-300)]
     nu = alpha + 0.5 + K
     val = np.real(np.exp(1j * flat) * acc).reshape(y.shape)
-    err = (bound + abs(_HANKEL_A[K]) * flat ** (-nu) / nu).reshape(y.shape)
+    err = (bound + abs(_HANKEL_A[K]) * flat ** (-nu) / nu
+           + _TAIL_ROUNDING * total).reshape(y.shape)
     return val, err
 
 
@@ -456,11 +464,9 @@ class DifferenceProfile:
         d_here = abs(d_here[0])
         return d_here <= 0.0 or 2e-16 * terms[0] > 1e-4 * d_here
 
-    def integrate(self, alpha: float, spec: QuadratureSpec, *,
-                  slope_margin=_SLOPE_MARGIN, raise_on_divergence=True):
+    def integrate(self, alpha: float, spec: QuadratureSpec, *, slope_margin=_SLOPE_MARGIN):
         """``(value, error, diagnostics)`` without the angular factor."""
-        return _difference_integral(self, alpha, spec, slope_margin=slope_margin,
-                                    raise_on_divergence=raise_on_divergence)
+        return _difference_integral(self, alpha, spec, slope_margin=slope_margin)
 
 
 def _reduce_part(acc, part, magnitude):
@@ -532,15 +538,29 @@ def _radial_reader(g, counts):
     return read
 
 
-def _sphere_reader(phi: CharFn, nodes, counts):
-    """``phi - 1`` at every radius in s times every sphere node, one row
-    per radius, charged ``_factor_cost`` per point."""
-    cost = _factor_cost(phi)
+def _angular_rule(d: int, spec: QuadratureSpec):
+    """Nodes and rule of the angular mean of a non-radial factor: the d = 1
+    ray (both None), or the sphere product rule's nodes and ``(weights,
+    area)`` in dimensions two and three."""
+    if d == 1:
+        return None, None
+    if d > 3:
+        raise DomainError(f"non-radial transforms are limited to dimension 3 (got d={d})")
+    nodes, node_w = sphere_rule(d, spec.sphere_order)
+    return nodes, (node_w, sphere_area(d))
 
+
+def _node_reader(fn, cost, nodes, counts):
+    """``fn`` at every radius in s times every node, one row per radius, or
+    at the radii themselves on the d = 1 ray (``nodes`` None), charged
+    ``cost`` per point."""
     def read(s):
+        if nodes is None:
+            counts.kernel_evals += s.size * cost
+            return np.asarray(fn(s[:, None]))
         pts = (s[:, None, None] * nodes[None, :, :]).reshape(-1, nodes.shape[1])
         counts.kernel_evals += pts.shape[0] * cost
-        return np.asarray(phi.minus_one(pts)).reshape(s.size, -1)
+        return np.asarray(fn(pts)).reshape(s.size, -1)
     return read
 
 
@@ -558,11 +578,7 @@ def _ray_reader(phi: CharFn, counts):
     (tau = 0) give a constant, read directly.
     """
     cost = _factor_cost(phi)
-
-    def direct(s):
-        counts.kernel_evals += s.size * cost
-        return np.asarray(phi.minus_one(s[:, None]))
-
+    direct = _node_reader(phi.minus_one, cost, None, counts)
     if cost <= _TABLE_ATOMS:
         return direct
     x = phi.atoms.points[:, 0]
@@ -724,23 +740,18 @@ def difference_profile(phi: CharFn, psi: CharFn | None = None, *, k: int,
         form = phi.radial_atomic
         evaluate = _atomic_terms(form.atoms, coeffs, counts, form.radial_minus_one)[0]
     else:
-        rule = None
         if phi.is_radial and (psi is None or psi.is_radial):
-            def read(chi):
-                return _radial_reader(chi.radial_minus_one, counts)
-        elif d == 1:
-            def read(chi):
-                return _ray_reader(chi, counts)
-        elif d <= 3:
-            nodes, node_w = sphere_rule(d, spec.sphere_order)
-            rule = (node_w, sphere_area(d))
+            rule = None
 
             def read(chi):
-                return _sphere_reader(chi, nodes, counts)
+                return _radial_reader(chi.radial_minus_one, counts)
         else:
-            raise DomainError(
-                f"non-radial transforms are limited to dimension 3 (got d={d})"
-            )
+            nodes, rule = _angular_rule(d, spec)
+
+            def read(chi):
+                if nodes is None:
+                    return _ray_reader(chi, counts)
+                return _node_reader(chi.minus_one, _factor_cost(chi), nodes, counts)
         evaluate = _mean_terms(coeffs, read(phi), None if psi is None else read(psi), rule,
                                part, magnitude)
     freq = k * (phi.osc_scale + (0.0 if psi is None else psi.osc_scale))
@@ -749,24 +760,47 @@ def difference_profile(phi: CharFn, psi: CharFn | None = None, *, k: int,
                              tail=tail, counts=counts)
 
 
+def derivative_profile(phi: CharFn, sigma: tuple, *, spec: QuadratureSpec) -> DifferenceProfile:
+    """The profile ``D(r)``, the angular mean of ``|partial^sigma phi(xi) -
+    partial^sigma phi(0)|``, and its tail rule.
+
+    ``phi`` must carry a derivative oracle.  The angular mean takes the
+    geometry of :func:`difference_profile` for a non-radial factor: the
+    sphere product rule in dimensions two and three, and in dimension one
+    a single ray, since ``partial^sigma phi(-xi) - partial^sigma phi(0)``
+    is ``(-1)**|sigma|`` times the conjugate of its value at xi for a real
+    measure.  The derivative reader charges ``_factor_cost`` per point.
+    """
+    d = phi.dim
+    base = complex(np.asarray(phi.derivative(sigma, np.zeros((1, d))))[0])
+    counts = _EvalCounts()
+    nodes, rule = _angular_rule(d, spec)
+    read = _node_reader(lambda pts: np.asarray(phi.derivative(sigma, pts)) - base,
+                        _factor_cost(phi), nodes, counts)
+    evaluate = _mean_terms(binomial_difference_coefficients(1), read, None, rule, "complex", True)
+    tail = StabilizedTail(abs(base))
+    gap = _single_atom_gap([phi], 1)
+    if gap is not None:
+        # one atom at distance c: the difference is c**|sigma| 2|sin(c xi / 2)|
+        tail = SinSeriesTail(gap, gap ** sum(sigma))
+    return DifferenceProfile(evaluate, sphere_area(d), float(phi.osc_scale), magnitude=True,
+                             tail=tail, counts=counts)
+
+
 def _origin_descent(profile: DifferenceProfile, a: float, alpha: float,
-                    spec: QuadratureSpec, *, slope_margin, raise_on_divergence):
+                    spec: QuadratureSpec, *, slope_margin):
     """Head integral over (0, a]: geometric panels plus a power-law model.
 
     The fitted model ``D(r) ~ D(x) (r/x)**slope`` is exact only to its
     next-order correction, so panels descend below the anchor until the
     model's remaining share is negligible or the evaluator's cancellation
     noise takes over; by then the corrections have died out as well and
-    the model closes the integral with a tight error bar.
+    the model closes the integral with a tight error bar.  Every fit, the
+    first and each refit, raises :class:`DivergenceSuspectedError` on a
+    coherent slope at or below ``alpha + slope_margin``.
     """
-    om = origin_power_model(
-        profile.D, a, alpha,
-        slope_margin=slope_margin,
-        raise_on_divergence=raise_on_divergence,
-        abs_mode=profile.magnitude,
-    )
-    if not np.isfinite(om.error) or om.slope is None:
-        return om.contribution, om.error, om.slope, 0
+    om = origin_power_model(profile.D, a, alpha, slope_margin=slope_margin,
+                            abs_mode=profile.magnitude)
     tol_head = max(spec.abs_tol, spec.rel_tol * abs(om.contribution)) / 8.0
     integrand = profile.integrand(alpha)
 
@@ -788,26 +822,13 @@ def _origin_descent(profile: DifferenceProfile, a: float, alpha: float,
         head_err += err
         x = lo
         octaves += batch
-        new_om = origin_power_model(
-            profile.D, x, alpha,
-            slope_margin=slope_margin,
-            raise_on_divergence=False,
-            abs_mode=profile.magnitude,
-        )
-        if new_om.slope is None or not np.isfinite(new_om.error):
-            # the refit degraded anyway: close (0, x] with a wide honest bar
-            rs = x * 0.5 ** np.arange(4)
-            mags = np.abs(np.asarray(profile.D(rs)))
-            om = OriginModel(0.0, float(10.0 * mags.max() * x ** (-alpha)), None,
-                             complex(mags[0]), x)
-            break
-        om = new_om
+        om = origin_power_model(profile.D, x, alpha, slope_margin=slope_margin,
+                                abs_mode=profile.magnitude)
     return head + om.contribution, head_err + om.error, om.slope, octaves
 
 
 def _difference_integral(profile: DifferenceProfile, alpha: float,
-                         spec: QuadratureSpec, *, slope_margin=_SLOPE_MARGIN,
-                         raise_on_divergence=True):
+                         spec: QuadratureSpec, *, slope_margin=_SLOPE_MARGIN):
     """Integrate ``r**(-1-alpha) D(r)`` over (0, inf) for a profile.
 
     Returns ``(value, error, diagnostics)`` on the bare scale (the caller
@@ -824,9 +845,7 @@ def _difference_integral(profile: DifferenceProfile, alpha: float,
 
     a = profile.origin_cut(spec)
     head_val, head_err, slope, octaves = _origin_descent(
-        profile, a, alpha, spec,
-        slope_margin=slope_margin,
-        raise_on_divergence=raise_on_divergence,
+        profile, a, alpha, spec, slope_margin=slope_margin
     )
     if not np.isfinite(head_err):
         return math.nan, math.inf, {"origin_slope": slope, "diverged": True, **cost()}
@@ -931,8 +950,13 @@ def fulldim_difference_integral(phi: CharFn, k: int, alpha: float,
     The result of a valid transform is real up to quadrature error; the
     imaginary residual is reported in the diagnostics.
     """
-    spec = spec or QuadratureSpec()
-    profile = difference_profile(phi, k=k, spec=spec, part="complex", magnitude=False)
+    return _signed_integral(phi, k, alpha, spec or QuadratureSpec(), "complex")
+
+
+def _signed_integral(phi, k, alpha, spec, part):
+    """The full-space integral of the signed profile of ``part``, with its
+    error and diagnostics, which hold the imaginary residual."""
+    profile = difference_profile(phi, k=k, spec=spec, part=part, magnitude=False)
     value, error, diag = profile.integrate(alpha, spec)
     full = profile.angular * value
     diag["imag_residual"] = abs(np.imag(full))
@@ -1006,18 +1030,10 @@ def absolute_moment(phi: CharFn, alpha: float, spec: QuadratureSpec | None = Non
     k, formula, rerouted = _validated_order(phi, alpha, k, formula)
 
     A = moment_constant(k, alpha, phi.dim)
-    if formula == "M12":
-        J, err, diag = fulldim_difference_integral(phi, k, alpha, spec)
-        imag_res = diag.get("imag_residual", 0.0)
-        err = err + imag_res
-        J = J.real
-    else:
-        profile = difference_profile(phi, k=k, spec=spec, part="real", magnitude=False)
-        value, error, diag = profile.integrate(alpha, spec)
-        J = profile.angular * float(np.real(value))
-        err = profile.angular * error
-    value = A * J
-    error = abs(A) * err + 4e-16 * abs(value)
+    J, err, diag = _signed_integral(phi, k, alpha, spec,
+                                    "complex" if formula == "M12" else "real")
+    value = A * J.real
+    error = abs(A) * (err + diag["imag_residual"]) + 4e-16 * abs(value)
     if rerouted:
         diag["rerouted"] = True
     diag["normalizing_constant"] = A
@@ -1031,8 +1047,8 @@ def absolute_moment(phi: CharFn, alpha: float, spec: QuadratureSpec | None = Non
     return MomentResult(max(value, 0.0), error, formula, k, diag)
 
 
-def even_order_moment(phi: CharFn, order: int, spec: QuadratureSpec | None = None,
-                      *, eps0: float = 0.1, steps: int = 7) -> MomentResult:
+def even_order_moment(phi: CharFn, order: int,
+                      spec: QuadratureSpec | None = None) -> MomentResult:
     """Even-integer moments ``E|X|**order``.
 
     Where ``phi`` carries an origin series (:meth:`CharFn.series`) the
@@ -1051,7 +1067,7 @@ def even_order_moment(phi: CharFn, order: int, spec: QuadratureSpec | None = Non
 
     A transform without a series takes the limit of nearby fractional
     orders (route ``'even-limit'``, orders up to ``MAX_DIFFERENCE_ORDER -
-    1``): the moment at ``order - eps0 * 2**-j`` for j = 0..steps-1,
+    1``): the moment at ``order - 0.1 * 2**-j`` for j = 0..6,
     Richardson-extrapolated over the final three values; the caller must
     know the measure has moments beyond ``order`` for the limit to exist.
     The extrapolation spread is reported as the error estimate.  Those
@@ -1070,9 +1086,7 @@ def even_order_moment(phi: CharFn, order: int, spec: QuadratureSpec | None = Non
         raise DomainError(
             f"even-order limit supports orders up to {MAX_DIFFERENCE_ORDER - 1}"
         )
-    if steps < 3:
-        raise DomainError("need at least three extrapolation steps")
-    eps = eps0 * 0.5 ** np.arange(steps)
+    eps = 0.1 * 0.5 ** np.arange(7)
     values = []
     errors = []
     k_used = order + 1

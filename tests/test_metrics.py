@@ -8,7 +8,9 @@ import pytest
 from cfmoments import charfn as cf
 from cfmoments import closed_forms as cfo
 from cfmoments import metrics as mt
+from cfmoments import moment_engine as me
 from cfmoments.errors import DivergenceSuspectedError, DomainError
+from cfmoments.quadrature import QuadratureSpec
 from cfmoments.specfun import gamma
 
 # frozen one-dimensional oracles
@@ -220,6 +222,13 @@ class TestDifferenceHolderSup:
     def test_constant_transform_is_zero(self):
         assert mt.difference_holder_sup(DELTA, 2, 1.0) == 0.0
 
+    @pytest.mark.parametrize("phi", [cf.make_gaussian(1.0, 1), cf.make_linnik(2.0, 1.0, 1)],
+                             ids=["gaussian", "linnik"])
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.9])
+    def test_first_difference_is_holder_seminorm(self, phi, beta):
+        # one grid and one refine pass: the k = 1 difference is phi - 1
+        assert mt.difference_holder_sup(phi, 1, beta) == mt.holder_seminorm(phi, beta)
+
 
 class TestMembership:
     def test_gaussian_finite_all_orders(self):
@@ -300,6 +309,32 @@ class TestDerivativeSeminorm:
         pm = cf.make_point_mass([2.0])
         got = mt.derivative_seminorm(pm, (1,), 0.5)
         assert got == pytest.approx(DERIV_POINT_MASS, rel=1e-6)
+
+    @pytest.mark.parametrize("phi,sigma", [
+        (cf.make_gaussian(1.0, 1), (1,)),
+        (cf.make_gaussian(1.0, 1), (2,)),
+        (cf.make_point_mass([2.0]), (1,)),
+        (cf.make_empirical(np.random.default_rng(3).normal(size=(20, 1))), (1,)),
+    ], ids=["gaussian-1", "gaussian-2", "point-mass", "sample20"])
+    def test_one_ray_matches_two_nodes(self, phi, sigma):
+        # for a real measure |d^s phi(-xi) - d^s phi(0)| = |d^s phi(xi) -
+        # d^s phi(0)|, so the ray alone carries the mean over the nodes +1, -1
+        spec = QuadratureSpec()
+        profile = me.derivative_profile(phi, sigma, spec=spec)
+        base = complex(np.asarray(phi.derivative(sigma, np.zeros((1, 1))))[0])
+
+        def two_nodes(r, with_magnitude):
+            vals = np.abs(np.asarray(phi.derivative(sigma, np.concatenate([r, -r])[:, None])) - base)
+            return 0.5 * (vals[:r.size] + vals[r.size:]), None
+
+        ref = me.DifferenceProfile(two_nodes, profile.angular, profile.freq, magnitude=True,
+                                   tail=profile.tail)
+        want = profile.angular * float(np.real(ref.integrate(0.5, spec)[0]))
+        assert mt.derivative_seminorm(phi, sigma, 0.5) == pytest.approx(want, rel=1e-10)
+        # one derivative evaluation per radius, costed one per atom
+        _, _, diag = profile.integrate(0.5, spec)
+        cost = phi.atoms.size if phi.atoms is not None else 1
+        assert diag["kernel_evals"] == diag["points"] * cost
 
     def test_gaussian_second_derivative_equivalence(self):
         # the two-sided comparability with the order-(m+1) seminorm: both

@@ -406,6 +406,27 @@ class TestDivergenceDetection:
         with pytest.raises(DivergenceSuspectedError):
             me.absolute_moment(conv, 1.5)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_heat_flow_at_its_exponent(self, d):
+        # the origin refits run under the rule of the first fit: a coherent
+        # slope at the order raises wherever the descent meets it
+        from cfmoments.heat import evolve
+
+        ev = evolve(cf.make_point_mass(np.eye(d)[0]), 1.5, 0.5)
+        with pytest.raises(DivergenceSuspectedError):
+            me.absolute_moment(ev, 1.5)
+
+    @pytest.mark.parametrize("d,alpha,expected", [
+        (1, 1.3, 2.4945076668920536), (1, 1.45, 7.067087533237762),
+        (2, 1.3, 3.8228638856975157), (2, 1.45, 12.020733658890206),
+        (3, 1.3, 4.9404350435895), (3, 1.45, 16.33875167676528),
+    ])
+    def test_heat_flow_below_its_exponent(self, d, alpha, expected):
+        from cfmoments.heat import evolve
+
+        ev = evolve(cf.make_point_mass(np.eye(d)[0]), 1.5, 0.5)
+        assert me.absolute_moment(ev, alpha).value == pytest.approx(expected, rel=1e-12)
+
 
 class TestRadialIntegral:
     def test_flat_profile_is_zero(self):
@@ -1175,36 +1196,46 @@ class TestAtomicSeries:
 
 
 class TestBesselTail:
-    """The J0 tail ``int_y^inf u**(-1-alpha) J0(u) du`` of d = 2 atoms:
-    a bridge up to max(32, 4 (1 + alpha)), Hankel's expansion beyond."""
+    """The kernel tails ``int_y^inf u**(-1-alpha) K(u) du`` of d = 1, 2, 3
+    atoms: a bridge up to max(32, 4 (1 + alpha)), then the asymptotic
+    series, Hankel's expansion for J0."""
 
     # lower limits m R rho of the atomic tail (R = 8 and beyond), on both
-    # sides of the bridge's end
-    Y = [0.05, 0.5, 3.0, 16.0, 31.999, 32.0, 40.0, 100.0, 200.0, 1e3, 1e4]
+    # sides of the bridge's end; 252.17 sits near a zero of the J0 tail's
+    # phase at alpha = 4.5, where its value is 1/28 of its envelope
+    Y = [0.05, 0.3, 0.5, 3.0, 16.0, 31.999, 32.0, 40.0, 100.0, 200.0, 252.17, 1e3, 1e4]
 
     @staticmethod
-    def _reference(y, alpha):
-        """The tail in closed form: the Mellin transform of J0, continued
-        analytically to ``2**mu Gamma((1+mu)/2) / Gamma((1-mu)/2)`` at
-        ``mu = -1 - alpha``, less ``int_0^y`` from the antiderivative
-        ``u**(mu+1) / (mu+1) 1F2((mu+1)/2; 1, (mu+3)/2; -u**2/4)``."""
+    def _reference(kernel, y, alpha):
+        """The tail in closed form.  J0: the Mellin transform of J0,
+        continued analytically to ``2**mu Gamma((1+mu)/2) / Gamma((1-mu)/2)``
+        at ``mu = -1 - alpha``, less ``int_0^y`` from the antiderivative
+        ``u**(mu+1) / (mu+1) 1F2((mu+1)/2; 1, (mu+3)/2; -u**2/4)``.  cos and
+        sinc: ``int_y^inf u**(-1-a) exp(iu) du = y**-a E_(1+a)(-iy)``, the
+        generalized exponential integral, at ``a = alpha`` and ``alpha + 1``."""
         mpmath = pytest.importorskip("mpmath")
-        # the two parts cancel by up to 24 digits at y = 1e4
+        # the two J0 parts cancel by up to 24 digits at y = 1e4
         mpmath.mp.dps = 60
         y, a = mpmath.mpf(y), mpmath.mpf(alpha)
+        if kernel == "cos":
+            return float(mpmath.re(y ** (-a) * mpmath.expint(1 + a, -1j * y)))
+        if kernel == "sinc":
+            return float(mpmath.im(y ** (-a - 1) * mpmath.expint(2 + a, -1j * y)))
         mellin = 2 ** (-1 - a) * mpmath.gamma(-a / 2) / mpmath.gamma(1 + a / 2)
         return float(mellin + y ** (-a) / a * mpmath.hyp1f2(-a / 2, 1, 1 - a / 2, -y**2 / 4))
 
     @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.5, 4.5])
     def test_against_mpmath(self, alpha):
-        val, err = me._kernel_tail("j0", np.array(self.Y), alpha)
-        for y, v, e in zip(self.Y, val, err):
-            ref = self._reference(y, alpha)
-            # the bound covers truncation; rounding adds up to 1e-15 relative
-            assert abs(v - ref) <= e + 1e-15 * abs(ref), (y, v, ref, e)
-            # the bridge's absolute tolerance is 1e-15 (the leading
-            # asymptotic term alone left 2.9e-6 at alpha = 0.5)
-            assert abs(v - ref) <= 2e-15 + 1e-15 * abs(ref)
+        for kernel in ("cos", "j0", "sinc"):
+            val, err = me._kernel_tail(kernel, np.array(self.Y), alpha)
+            for y, v, e in zip(self.Y, val, err):
+                ref = self._reference(kernel, y, alpha)
+                # the bound covers truncation and rounding
+                assert abs(v - ref) <= e, (kernel, y, v, ref, e)
+                if kernel == "j0":
+                    # the bridge's absolute tolerance is 1e-15 (the leading
+                    # asymptotic term alone left 2.9e-6 at alpha = 0.5)
+                    assert abs(v - ref) <= 2e-15 + 1e-15 * abs(ref)
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_plane_sample_moments(self, seed):

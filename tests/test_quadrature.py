@@ -84,10 +84,6 @@ class TestOriginModel:
         with pytest.raises(DivergenceSuspectedError):
             origin_power_model(lambda r: r**1.0, 1e-3, 1.5)
 
-    def test_divergence_flag_mode(self):
-        om = origin_power_model(lambda r: r, 1e-3, 1.5, raise_on_divergence=False)
-        assert not np.isfinite(om.error)
-
 
 class TestTrigTail:
     @pytest.mark.parametrize("y,alpha", [(0.5, 0.5), (3.0, 1.2), (12.0, 0.8), (50.0, 0.4)])
