@@ -174,11 +174,17 @@ def _product_series(a: OriginSeries, b: OriginSeries) -> OriginSeries:
 @dataclass(frozen=True)
 class RadialAtomic:
     """The form ``phi(xi) = (1 + g(|xi|)) sum_j w_j exp(-i xi . x_j)``: a
-    radial profile minus one, ``radial_minus_one`` (g), times the transform
-    of the finitely supported measure ``atoms``."""
+    radial transform ``radial``, whose profile minus one is g, times the
+    transform of the finitely supported measure ``atoms``.  The radial
+    factor brings its envelope and limit along with g."""
 
-    radial_minus_one: Callable[[np.ndarray], np.ndarray]
+    radial: "CharFn"
     atoms: DiscreteMeasure
+
+    @property
+    def radial_minus_one(self) -> Callable[[np.ndarray], np.ndarray]:
+        """g, the radial factor's profile minus one."""
+        return self.radial.radial_minus_one
 
 
 @dataclass(frozen=True)
@@ -542,14 +548,12 @@ def _product_minus_one(f, g):
 def _radial_atomic_form(a: CharFn, b: CharFn) -> RadialAtomic | None:
     """The :class:`RadialAtomic` form of ``a b`` for a radial ``b`` and an
     ``a`` that carries atoms or the form; None otherwise."""
-    h = b.radial_minus_one if b.is_radial else None
-    if h is None:
+    if not b.is_radial or b.radial_minus_one is None:
         return None
     if a.radial_atomic is not None:
-        return RadialAtomic(_product_minus_one(a.radial_atomic.radial_minus_one, h),
-                            a.radial_atomic.atoms)
+        return RadialAtomic(make_product(a.radial_atomic.radial, b), a.radial_atomic.atoms)
     if a.atoms is not None:
-        return RadialAtomic(h, a.atoms)
+        return RadialAtomic(b, a.atoms)
     return None
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .charfn import CharFn, make_product, make_stable
 from .errors import DomainError
-from .metrics import GridSpec, integral_distance
+from .metrics import integral_distance
 from .moment_engine import MomentResult, absolute_moment
 from .quadrature import (
     QuadratureSpec,
@@ -232,13 +232,13 @@ def decay_rate_check(phi_a: CharFn, phi_b: CharFn, p: float, alpha: float,
 
 
 def small_time_check(initial: CharFn, p: float, t: float, alpha: float,
-                     spec: QuadratureSpec | None = None,
-                     grid: GridSpec | None = None):
+                     spec: QuadratureSpec | None = None):
     """Integral distance between the evolved and initial law, with its bound.
 
     The bound is ``(2 pi**(d/2) Gamma(1-alpha/p) / (alpha Gamma(d/2)))
-    t**(alpha/p)`` times the sup of the initial transform (estimated on the
-    metric grid; at most one).  Returns ``(rho, bound)``.
+    t**(alpha/p)`` times the sup of the initial transform, which is
+    ``|phi(0)| = 1`` for every characteristic function.  Returns ``(rho,
+    bound)``.
     """
     d = initial.dim
     limit = min(1.0, p) if p < 2.0 else 1.0
@@ -250,16 +250,11 @@ def small_time_check(initial: CharFn, p: float, t: float, alpha: float,
         return 0.0, 0.0
     spec = spec or QuadratureSpec()
     rho = integral_distance(evolve(initial, p, t), initial, alpha, spec).value
-    grid = grid or GridSpec()
-    radii = np.geomspace(grid.r_min, grid.r_max, grid.n_radial)
-    pts = radii[:, None] * np.ones((1, d)) / math.sqrt(d)
-    sup_est = min(1.0, float(np.abs(1.0 + np.asarray(initial.minus_one(pts))).max()))
     bound = (
         2.0
         * math.pi ** (d / 2.0)
         * gamma(1.0 - alpha / p)
         / (alpha * gamma(d / 2.0))
         * t ** (alpha / p)
-        * sup_est
     )
     return rho, bound

@@ -19,7 +19,11 @@ rule of nodes u, fed by factor readers that each charge their own cost:
 the radial profile of a radially symmetric transform on one node, a
 sphere product rule in dimensions two and three, and in dimension one a
 single ray, since the transform of a real measure takes conjugate values
-at the nodes +1 and -1.  Along the ray, a factor with more than 48 atoms
+at the nodes +1 and -1.  A pair of transforms that share their atoms,
+each a radial x atomic product ``(1 + g) (1 + A)`` or the atomic law
+itself (g = 0), such as a heat flow and its datum, is one factor
+``(g_phi - g_psi) (1 + A)``: the atoms are read once, and the radial
+difference at each radius.  Along the ray, a factor with more than 48 atoms
 is read from lazily built Chebyshev blocks
 (:class:`~cfmoments.quadrature.ChebyshevBlocks`) that the profile keeps
 for its lifetime, each built from the factor's atoms at one complex
@@ -39,9 +43,11 @@ limit, or the exact Fourier series of |sin| for a pair of single atoms.
 Each pass reports its cost with its diagnostics: the radii at which D was
 evaluated (``points``) and the kernel evaluations behind them
 (``kernel_evals``: one per atom, or one for a formula, and point evaluated
-directly, one per atom and built Chebyshev block, and one per atomic
-kernel sum read from its series, whose moments cost one per atom when the
-profile is built).
+directly, one per atom and built Chebyshev block, one per radius for the
+radial factor of a shared-atom pair, and one per atomic kernel sum read
+from its series, whose moments cost one per atom when the profile is
+built).  A radial x atomic product outside a shared-atom pair carries no
+atoms and is still charged one per point, although it evaluates its n.
 
 Even-integer orders take no difference integral where the transform
 carries its origin series: :func:`even_order_moment` reads the moment
@@ -57,7 +63,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import j0 as _bessel_j0
 
-from .charfn import CharFn
+from .charfn import CharFn, make_discrete
 from .errors import DivergenceSuspectedError, DomainError, QuadratureError
 from .quadrature import (
     _TAIL_ROUNDING,
@@ -523,7 +529,10 @@ def _factor_cost(phi: CharFn) -> int:
     A transform is costed by the ``atoms`` it carries, not by how its
     ``minus_one`` is composed: a product of atomic laws counts its n m
     convolved atoms although it evaluates its two factors (n + m), and a
-    product with a formula factor carries no atoms and counts one.  The
+    product with a formula factor carries no atoms and counts one, the
+    radial x atomic heat flow included, although it evaluates its n atoms;
+    only in a shared-atom pair are those atoms read and charged, once
+    (:func:`_shared_reader`).  The
     same count is the cost of one Chebyshev block of the factor's ray
     table, which spends one complex exponential per atom.
     """
@@ -674,6 +683,48 @@ def _atomic_terms(atoms, coeffs, counts, g=None):
     return evaluate, freq, tail
 
 
+def _shared_atoms(phi, psi):
+    """The atoms that ``phi`` and ``psi`` share, each a radial x atomic
+    form or a plain atomic law (the form with g = 0), at least one a form;
+    None for any other pair.  Atoms are shared when their points and
+    weights are equal, whether or not they are one object."""
+    if psi is None or (phi.radial_atomic is None and psi.radial_atomic is None):
+        return None
+    a, b = (f.atoms if f.radial_atomic is None else f.radial_atomic.atoms for f in (phi, psi))
+    if a is None or b is None:
+        return None
+    if np.array_equal(a.points, b.points) and np.array_equal(a.weights, b.weights):
+        return a
+    return None
+
+
+def _shared_reader(phi, psi, atoms, read, counts):
+    """``(phi - psi)(s) = (g_phi - g_psi)(|s|) (1 + A(s))`` for a pair that
+    shares the atoms of ``A = sum_j w_j exp(-i s . x_j) - 1``.
+
+    ``read`` is the pair's reader of a non-radial factor; it reads A once,
+    from the pair's plain atomic law or, for two radial x atomic forms, one
+    built on the shared atoms.  The radial difference is read at the radii
+    s, one kernel evaluation each, and broadcast over the sphere nodes, so
+    a point costs one per atom and node plus one: n + 1 on the d = 1 ray.
+    """
+    plain = next((f for f in (psi, phi) if f.radial_atomic is None), None)
+    read_atoms = read(plain or make_discrete(atoms))
+
+    def g(s):
+        g_phi, g_psi = (0.0 if f.radial_atomic is None
+                        else np.asarray(f.radial_atomic.radial_minus_one(s)) for f in (phi, psi))
+        return g_phi - g_psi
+
+    read_g = _radial_reader(g, counts)
+
+    def read_pair(s):
+        a = read_atoms(s)
+        gv = read_g(s)
+        return (gv if a.ndim == 1 else gv[:, None]) * (1.0 + a)
+    return read_pair
+
+
 def _single_atom_gap(factors, k):
     """Distance c of two unit atoms in d = 1 (one factor: the other sits at
     the origin), where ``|Delta(phi - psi)| = 2|sin(c r / 2)|`` for k = 1."""
@@ -722,7 +773,16 @@ def difference_profile(phi: CharFn, psi: CharFn | None = None, *, k: int,
     those of radial x atomic products (``phi.radial_atomic``) in
     dimensions two and three, with the product's own tail; everything else
     uses the sphere product rule up to dimension three, folded onto one
-    ray in dimension one.
+    ray in dimension one.  A pair that shares its atoms (equal points and
+    weights), each a radial x atomic product or the atomic law itself,
+    takes one factor ``(g_phi - g_psi) (1 + A)`` on that geometry, for
+    every k, part and magnitude, with the pair's usual tail; the atoms are
+    read once, at one per atom and node, and the radial difference at one
+    per radius, where reading the two transforms apart would read them
+    twice and charge the product one per point.  On a single atom, the
+    complex magnitude of the first difference is ``|g_phi - g_psi|`` at
+    every node, which is the pair of the radial factors alone: that pair's
+    profile is returned, with their envelopes and limits.
     """
     if part not in ("real", "complex"):
         raise DomainError(f"part must be 'real' or 'complex', not {part!r}")
@@ -736,6 +796,12 @@ def difference_profile(phi: CharFn, psi: CharFn | None = None, *, k: int,
         evaluate, freq, tail = _atomic_terms(phi.atoms, coeffs, counts)
         return DifferenceProfile(evaluate, sphere_area(d), float(freq), magnitude=False,
                                  tail=tail, counts=counts)
+    shared = _shared_atoms(phi, psi)
+    if shared is not None and shared.size == 1 and k == 1 and magnitude and part == "complex":
+        # |(g_phi - g_psi)(r) exp(-i xi . x)| = |g_phi - g_psi|(r): the pair
+        # of the radial factors alone, with their envelopes and limits
+        radials = [f.radial_atomic.radial for f in (phi, psi) if f.radial_atomic is not None]
+        return difference_profile(*radials, k=k, spec=spec, part=part, magnitude=True)
     if signed_alone and phi.radial_atomic is not None and d in (2, 3):
         form = phi.radial_atomic
         evaluate = _atomic_terms(form.atoms, coeffs, counts, form.radial_minus_one)[0]
@@ -752,8 +818,11 @@ def difference_profile(phi: CharFn, psi: CharFn | None = None, *, k: int,
                 if nodes is None:
                     return _ray_reader(chi, counts)
                 return _node_reader(chi.minus_one, _factor_cost(chi), nodes, counts)
-        evaluate = _mean_terms(coeffs, read(phi), None if psi is None else read(psi), rule,
-                               part, magnitude)
+        if shared is not None:
+            f, h = _shared_reader(phi, psi, shared, read, counts), None
+        else:
+            f, h = read(phi), None if psi is None else read(psi)
+        evaluate = _mean_terms(coeffs, f, h, rule, part, magnitude)
     freq = k * (phi.osc_scale + (0.0 if psi is None else psi.osc_scale))
     tail = _profile_tail(phi, psi, coeffs, part, magnitude)
     return DifferenceProfile(evaluate, sphere_area(d), float(freq), magnitude=magnitude,

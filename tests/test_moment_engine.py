@@ -949,6 +949,126 @@ class TestRadialAtomicReduction:
         assert 0 < diag["kernel_evals"] <= 2 * res.k_used * diag["points"]
 
 
+class TestSharedAtomPair:
+    """Pairs whose transforms share their atoms, each a radial x atomic
+    form or the plain atomic law: one factored reader ``(g_phi - g_psi)
+    (1 + A)`` against the route that reads the two transforms apart."""
+
+    SPEC = QuadratureSpec(sphere_order=8)
+    R = np.concatenate([np.geomspace(0.5, 30.0, 41), [1.0, 2.5]])
+    N_ATOMS = 12
+
+    @classmethod
+    def _pairs(cls, d):
+        from cfmoments.heat import evolve
+
+        rng = np.random.default_rng(40 + d)
+        mu = cf.make_empirical(rng.normal(scale=0.7, size=(cls.N_ATOMS, d)))
+        # a copy of the datum built apart: equal atoms, not one object
+        copy = cf.make_empirical(mu.atoms.points.copy())
+        return {
+            "flow-datum": (evolve(mu, 2.0, 0.5), copy),
+            "twice-datum": (evolve(evolve(mu, 1.5, 0.3), 2.0, 0.2), mu),
+            "two-flows": (evolve(mu, 2.0, 0.5), evolve(copy, 1.5, 0.2)),
+        }
+
+    def _reference(self, phi, psi, k, part, magnitude):
+        """The two-reader profile with the forms stripped, and the
+        difference-first mean of the same readers: its D and term sums."""
+        import dataclasses
+
+        phi, psi = (dataclasses.replace(f, radial_atomic=None) for f in (phi, psi))
+        two = me.difference_profile(phi, psi, k=k, spec=self.SPEC, part=part,
+                                    magnitude=magnitude)
+        counts = me._EvalCounts()
+        nodes, rule = me._angular_rule(phi.dim, self.SPEC)
+
+        def read(chi):
+            if nodes is None:
+                return me._ray_reader(chi, counts)
+            return me._node_reader(chi.minus_one, me._factor_cost(chi), nodes, counts)
+
+        read_phi, read_psi = read(phi), read(psi)
+        hand = me._mean_terms(me.binomial_difference_coefficients(k),
+                              lambda s: read_phi(s) - read_psi(s), None, rule, part, magnitude)
+        return two, hand
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("pair", ["flow-datum", "twice-datum", "two-flows"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_two_reader_route(self, d, pair, k):
+        eps = np.finfo(float).eps
+        phi, psi = self._pairs(d)[pair]
+        for part in ("real", "complex"):
+            for magnitude in (False, True):
+                for a, b in ((phi, psi), (psi, phi)):
+                    got = me.difference_profile(a, b, k=k, spec=self.SPEC, part=part,
+                                                magnitude=magnitude)
+                    two, hand = self._reference(a, b, k, part, magnitude)
+                    D, terms = got.evaluate(self.R, True)
+                    ref, scale = two.evaluate(self.R, True)
+                    hand_D, hand_terms = hand(self.R, True)
+                    assert D.dtype == ref.dtype
+                    assert np.array_equal(hand_D, ref)
+                    # the two-reader route rounds on the scale of its
+                    # terms, |phi - 1| + |psi - 1|
+                    assert np.all(np.abs(D - ref) <= 4.0 * eps * scale), (part, magnitude)
+                    assert np.all(np.abs(terms - hand_terms) <= 4.0 * eps * scale)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_reads_the_atoms_once(self, d):
+        import dataclasses
+
+        def unread(pts):
+            raise AssertionError("the product's minus_one was read")
+
+        nodes = 1 if d == 1 else self.SPEC.sphere_order ** (d - 1)
+        k = 3
+        for phi, psi in self._pairs(d).values():
+            calls = []
+
+            def counted(f):
+                if f.radial_atomic is not None:
+                    return dataclasses.replace(f, minus_one=unread)
+
+                def minus_one(pts):
+                    calls.append(pts.shape[0])
+                    return f.minus_one(pts)
+                return dataclasses.replace(f, minus_one=minus_one)
+
+            profile = me.difference_profile(counted(phi), counted(psi), k=k, spec=self.SPEC,
+                                            part="complex", magnitude=True)
+            profile.D(self.R)
+            # a plain datum is read once per m, at every radius and node
+            if psi.radial_atomic is None:
+                assert calls == [self.R.size * nodes] * k
+            # one kernel per atom and node for A, one per radius for g:
+            # n + 1 per point and m on the d = 1 ray
+            assert profile.counts.kernel_evals == self.R.size * k * (self.N_ATOMS * nodes + 1)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_one_atom_pair_is_translation_invariant(self, d):
+        from cfmoments.heat import evolve
+        from cfmoments.metrics import integral_distance
+        from cfmoments.specfun import difference_integral_constant
+
+        p, t, alpha = 2.0, 0.5, 0.5
+        a = np.array([0.6, -0.5, 0.3][:d]) * 1.7
+        origin = cf.make_point_mass(np.zeros(d))
+        ref = integral_distance(evolve(origin, p, t), origin, alpha)
+        exact = (cf.make_stable(p, t, d).analytic_moment(alpha)
+                 * abs(difference_integral_constant(1, alpha, d)))
+        assert ref.value == pytest.approx(exact, rel=1e-6)
+        for phi, psi in ((evolve(cf.make_point_mass(a), p, t), cf.make_point_mass(a)),
+                         (evolve(evolve(cf.make_point_mass(a), p, 0.2), p, 0.3),
+                          cf.make_point_mass(a))):
+            for x, y in ((phi, psi), (psi, phi)):
+                got = integral_distance(x, y, alpha)
+                assert got.value == pytest.approx(ref.value, rel=1e-10)
+                assert got.value == pytest.approx(exact, rel=1e-6)
+                assert got.grid_report["integral_error"] <= 1e-8 * exact
+
+
 def _sphere_D(coeffs, phi, psi, d, order, r, part, magnitude):
     """The sphere rule node by node: signed means combined per m,
     magnitudes taken per node before the mean; also the terms' magnitude
