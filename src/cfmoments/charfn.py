@@ -6,12 +6,12 @@ the integrators exploit: radial symmetry, realness, an accurate
 scale, and computing ``phi(xi) - 1`` by subtraction loses everything near
 the origin), a decreasing modulus envelope for decaying transforms, the
 exact atom list for finitely supported measures, and optional analytic
-derivative / moment oracles.  A product of a radial transform with the
-transform of a finitely supported measure keeps both parts
-(:class:`RadialAtomic`), so the moment engine can average it over spheres
-exactly.  Most transforms also carry the power series of their sphere
-mean minus one at the origin (:class:`OriginSeries`), built on first use,
-from which the moment engine reads even-order moments.
+derivative / moment oracles.  Products and scalings of radial and atomic
+laws keep the normal form ``(1 + g)(1 + A)`` (:func:`normal_form`), so the
+moment engine can average them over spheres exactly.  Constructor outputs
+also carry the power series of their sphere mean minus one at the origin
+(:class:`OriginSeries`), built on first use, from which the moment engine
+reads even-order moments.
 
 Evaluators are pure and never mutate; instances are safe to share across
 threads and to evaluate in parallel panels.
@@ -47,6 +47,7 @@ __all__ = [
     "make_product",
     "make_mixture",
     "make_scaled",
+    "normal_form",
     "iterated_difference",
     "real_part_difference",
     "lacunary_measure",
@@ -195,18 +196,15 @@ class CharFn:
     full accuracy near the origin.  ``envelope``, when present, is a
     decreasing bound on ``sup_{|xi|=r} |phi(xi) - tail_limit|``; transforms
     of finitely supported measures carry ``atoms`` instead.  A non-radial
-    product of a radial transform with an atomic one (the heat flow of a
-    point mass or a sample) carries ``radial_atomic``, the factors'
+    transform with a radial factor (the heat flow of a point mass or a
+    sample, and products and scalings of it) carries ``radial_atomic``, its
     :class:`RadialAtomic` form, next to its ``minus_one``.
 
     ``origin_series``, when present, builds the :class:`OriginSeries` of
     the sphere mean of ``phi - 1`` on its first call and keeps it, so a
     transform costs nothing more to construct; :meth:`series` reads it.
-    The Gaussian, stable, Linnik and Schoenberg laws and every atomic law
-    carry one, and so do scalings, mixtures of transforms that all carry
-    one, and products in which the factors carry one and one factor is
-    radial (the radial factor is constant on each sphere, so the mean
-    factors) or both are atomic.  Any other transform carries none.
+    Every ``make_*`` output whose parts carry one carries one, except a
+    product of two non-radial factors of which one has no normal form.
     """
 
     dim: int
@@ -491,12 +489,26 @@ def make_schoenberg(mixing: DiscreteMeasure, p: float, d: int = 1) -> CharFn:
     )
 
 
+def normal_form(phi: CharFn) -> tuple[CharFn | None, DiscreteMeasure | None] | None:
+    """The normal form ``(1 + g)(1 + A)`` as ``(radial factor or None, atoms or
+    None)``: ``(None, A)`` for an atomic law, ``(g, None)`` for another radial
+    law, None for a non-radial one without ``radial_atomic`` (a mixture of forms)."""
+    if phi.atoms is not None:
+        return None, phi.atoms
+    if phi.radial_atomic is not None:
+        return phi.radial_atomic.radial, phi.radial_atomic.atoms
+    if phi.is_radial and phi.radial_minus_one is not None:
+        return phi, None
+    return None
+
+
 def make_product(phi: CharFn, psi: CharFn) -> CharFn:
     """Pointwise product of transforms: the transform of the convolution.
 
-    A non-radial product of a radial factor with one that carries atoms, or
-    with one that already carries the radial x atomic form, keeps that form
-    in ``radial_atomic``, whichever the argument order.
+    Factors with normal forms give the product its own by the convolution
+    theorem, ``(1 + g)(1 + A) (1 + h)(1 + B) = (1 + g)(1 + h) (1 + A * B)``:
+    an atomic law without a radial factor, else a non-radial product keeps
+    ``radial_atomic``, with the radial and atomic series' Cauchy product.
     """
     if phi.dim != psi.dim:
         raise DomainError("dimension mismatch in product")
@@ -505,14 +517,24 @@ def make_product(phi: CharFn, psi: CharFn) -> CharFn:
     if radial:
         radial_m1 = _product_minus_one(phi.radial_minus_one, psi.radial_minus_one)
     envelope, tail_limit = _product_envelope(phi, psi)
-    atoms = None
-    if phi.atoms is not None and psi.atoms is not None:
-        atoms = phi.atoms.convolve(psi.atoms)
-    analytic = None
-    series = None
+    atoms = form = series = analytic = None
+    osc_scale = phi.osc_scale + psi.osc_scale
+    forms = normal_form(phi), normal_form(psi)
+    if None not in forms:
+        (g, a), (h, b) = forms
+        c = b if a is None else a if b is None else a.convolve(b)
+        if g is None and h is None:
+            atoms = c
+        elif not radial:
+            form = RadialAtomic(h if g is None else g if h is None else make_product(g, h), c)
+            # the frequency of the law built from the form directly
+            osc_scale = form.radial.osc_scale + float(c.radii().max())
     if atoms is not None:
         analytic = atoms.moment
         series = functools.cache(lambda: _atomic_series(atoms))
+    elif form is not None and form.radial.origin_series is not None:
+        series = functools.cache(
+            lambda: _product_series(form.radial.series(), _atomic_series(form.atoms)))
     elif ((phi.is_radial or psi.is_radial) and phi.origin_series is not None
           and psi.origin_series is not None):
         series = functools.cache(lambda: _product_series(phi.series(), psi.series()))
@@ -528,9 +550,8 @@ def make_product(phi: CharFn, psi: CharFn) -> CharFn:
         atoms=atoms,
         derivative=None,
         analytic_moment=analytic,
-        osc_scale=phi.osc_scale + psi.osc_scale,
-        radial_atomic=None if radial else (_radial_atomic_form(phi, psi)
-                                           or _radial_atomic_form(psi, phi)),
+        osc_scale=osc_scale,
+        radial_atomic=form,
         origin_series=series,
     )
 
@@ -543,18 +564,6 @@ def _product_minus_one(f, g):
         b = np.asarray(g(x))
         return a * b + a + b
     return minus_one
-
-
-def _radial_atomic_form(a: CharFn, b: CharFn) -> RadialAtomic | None:
-    """The :class:`RadialAtomic` form of ``a b`` for a radial ``b`` and an
-    ``a`` that carries atoms or the form; None otherwise."""
-    if not b.is_radial or b.radial_minus_one is None:
-        return None
-    if a.radial_atomic is not None:
-        return RadialAtomic(make_product(a.radial_atomic.radial, b), a.radial_atomic.atoms)
-    if a.atoms is not None:
-        return RadialAtomic(b, a.atoms)
-    return None
 
 
 def _product_envelope(phi, psi):
@@ -650,7 +659,8 @@ def make_mixture(components, weights) -> CharFn:
 
 
 def make_scaled(phi: CharFn, c: float) -> CharFn:
-    """Transform of the measure scaled by c: ``xi -> phi(c xi)``."""
+    """Transform of the measure scaled by c: ``xi -> phi(c xi)``; a
+    :class:`RadialAtomic` form scales both of its parts."""
     if c <= 0:
         raise DomainError("scale must be positive")
 
@@ -682,6 +692,7 @@ def make_scaled(phi: CharFn, c: float) -> CharFn:
             return OriginSeries(s.exponents, b, s.errors * scale + 3.0 * _ULP * np.abs(b))
         series = functools.cache(series)
 
+    form = phi.radial_atomic
     return CharFn(
         dim=phi.dim,
         minus_one=minus_one,
@@ -694,6 +705,8 @@ def make_scaled(phi: CharFn, c: float) -> CharFn:
         atoms=None if phi.atoms is None else phi.atoms.scaled(c),
         analytic_moment=analytic,
         osc_scale=c * phi.osc_scale,
+        radial_atomic=None if form is None else RadialAtomic(make_scaled(form.radial, c),
+                                                             form.atoms.scaled(c)),
         origin_series=series,
     )
 

@@ -9,11 +9,11 @@ readers.  The builder reduces the
 integrand to a one-dimensional :class:`DifferenceProfile` ``D(r)`` by one
 of two evaluators.  Signed differences of a finitely supported measure
 reduce exactly over its atoms, whose sphere means are the kernels cos, J0
-and sinc of ``m r |x_j|``; so do those of radial x atomic products in
-dimensions two and three (the heat flow of a point mass or a sample),
-times a radial factor ``1 + g(m r)``.  Where every kernel argument is at
-most 1/2, the atom sum is read from an eight-term Taylor series in the
-atoms' even moments instead.  Everything else is one loop over
+and sinc of ``m r |x_j|``; so do those of radial x atomic forms in
+dimensions two and three (heat flows of atoms, and their products and
+scalings), times a radial factor ``1 + g(m r)``.  Where every kernel
+argument is at most 1/2, the atom sum is read from an eight-term Taylor
+series in the atoms' even moments instead.  Everything else is one loop over
 the difference terms, the angular mean of ``(phi - psi)(m r u)`` over a
 rule of nodes u, fed by factor readers that each charge their own cost:
 the radial profile of a radially symmetric transform on one node, a
@@ -49,9 +49,8 @@ from its series, whose moments cost one per atom when the profile is
 built).  A radial x atomic product outside a shared-atom pair carries no
 atoms and is still charged one per point, although it evaluates its n.
 
-Even-integer orders take no difference integral where the transform
-carries its origin series: :func:`even_order_moment` reads the moment
-from one coefficient.
+Even-integer orders take no difference integral: :func:`even_order_moment`
+reads the moment from one coefficient of the transform's origin series.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import j0 as _bessel_j0
 
-from .charfn import CharFn, make_discrete
+from .charfn import CharFn, make_discrete, normal_form
 from .errors import DivergenceSuspectedError, DomainError, QuadratureError
 from .quadrature import (
     _TAIL_ROUNDING,
@@ -103,6 +102,8 @@ _GUARD_BAND = 1e-6
 _SLOPE_MARGIN = 1e-3
 # a d = 1 ray reads a factor with more atoms than this from Chebyshev blocks
 _TABLE_ATOMS = 48
+# radius x node x atom products per read of a sphere-rule mean (32 MiB a float array)
+_NODE_BATCH = 2**22
 
 
 @dataclass
@@ -111,9 +112,8 @@ class MomentResult:
 
     ``formula`` records which evaluation route produced the value:
     the complex difference formula (M12), the real-part formula (M13), an
-    even order read from the origin series (even-series) or taken as the
-    limit of nearby orders (even-limit), an exact atom sum, or an analytic
-    oracle.
+    even order read from the origin series (even-series), an exact atom
+    sum, or an analytic oracle.
     """
 
     value: float
@@ -132,16 +132,16 @@ def select_difference_order(alpha: float, prefer_real: bool = True):
 
     Non-integer orders take the smallest odd k with ``alpha < k + 1`` under
     the real-part formula, which also covers odd-integer orders through
-    ``alpha = k``.  Even-integer orders have no difference formula and
-    route to :func:`even_order_moment`.  With ``prefer_real=False`` a non-integer order
-    may instead use the complex formula at ``k = floor(alpha) + 1``.
+    ``alpha = k``.  Even-integer orders route to :func:`even_order_moment`
+    (``'even-series'``).  With ``prefer_real=False`` a non-integer order may
+    instead use the complex formula at ``k = floor(alpha) + 1``.
     """
     if alpha <= 0:
         raise DomainError("order alpha must be positive")
     if _is_near_integer(alpha):
         n = round(alpha)
         if n % 2 == 0:
-            return None, "even-limit"
+            return None, "even-series"
         return n, "M13"
     if not prefer_real:
         return math.floor(alpha) + 1, "M12"
@@ -480,7 +480,7 @@ def _reduce_part(acc, part, magnitude):
     return np.abs(vals) if magnitude else vals
 
 
-def _mean_terms(coeffs, f, h, rule, part, magnitude):
+def _mean_terms(coeffs, f, h, rule, part, magnitude, atoms=1):
     """Evaluator of the angular mean of ``sum_m c_m (f - h)(m r)``.
 
     ``f`` and ``h`` (None for the constant transform 1) are factor readers:
@@ -492,10 +492,12 @@ def _mean_terms(coeffs, f, h, rule, part, magnitude):
     carry conjugate values, since ``phi(-s) = conj phi(s)`` for a real
     measure.  With ``magnitude`` the absolute value is taken per node,
     before the mean.
+    On the sphere rule, chunks of the radii bound the readers' arrays to
+    ``_NODE_BATCH`` radius x node x ``atoms`` products, ``atoms`` per point.
     """
     node_w, area = (None, None) if rule is None else rule
 
-    def evaluate(r, with_magnitude):
+    def terms_at(r, with_magnitude):
         acc = terms = 0.0
         for m in range(1, coeffs.size):
             s = m * r
@@ -519,6 +521,15 @@ def _mean_terms(coeffs, f, h, rule, part, magnitude):
         else:
             D = _reduce_part(acc / area, part, False)
         return D, terms / area if with_magnitude else None
+
+    if rule is None:
+        return terms_at
+    rows = max(1, _NODE_BATCH // (node_w.size * atoms))
+
+    def evaluate(r, with_magnitude):
+        chunks = np.split(r, np.arange(rows, r.size, rows))
+        D, terms = zip(*(terms_at(c, with_magnitude) for c in chunks))
+        return np.concatenate(D), np.concatenate(terms) if with_magnitude else None
 
     return evaluate
 
@@ -557,6 +568,12 @@ def _angular_rule(d: int, spec: QuadratureSpec):
         raise DomainError(f"non-radial transforms are limited to dimension 3 (got d={d})")
     nodes, node_w = sphere_rule(d, spec.sphere_order)
     return nodes, (node_w, sphere_area(d))
+
+
+def _evaluated_atoms(phi: CharFn) -> int:
+    """The atoms of the normal form of ``phi``, or one for none."""
+    form = normal_form(phi)
+    return 1 if form is None or form[1] is None else form[1].size
 
 
 def _node_reader(fn, cost, nodes, counts):
@@ -684,14 +701,15 @@ def _atomic_terms(atoms, coeffs, counts, g=None):
 
 
 def _shared_atoms(phi, psi):
-    """The atoms that ``phi`` and ``psi`` share, each a radial x atomic
-    form or a plain atomic law (the form with g = 0), at least one a form;
-    None for any other pair.  Atoms are shared when their points and
-    weights are equal, whether or not they are one object."""
-    if psi is None or (phi.radial_atomic is None and psi.radial_atomic is None):
+    """The atoms that ``phi`` and ``psi`` share, each a normal form ``(1 +
+    g)(1 + A)``, at least one with a radial factor g; None for any other
+    pair.  Atoms are shared when their points and weights are equal,
+    whether or not they are one object."""
+    forms = (None,) if psi is None else (normal_form(phi), normal_form(psi))
+    if None in forms:
         return None
-    a, b = (f.atoms if f.radial_atomic is None else f.radial_atomic.atoms for f in (phi, psi))
-    if a is None or b is None:
+    (g, a), (h, b) = forms
+    if a is None or b is None or (g is None and h is None):
         return None
     if np.array_equal(a.points, b.points) and np.array_equal(a.weights, b.weights):
         return a
@@ -708,12 +726,12 @@ def _shared_reader(phi, psi, atoms, read, counts):
     s, one kernel evaluation each, and broadcast over the sphere nodes, so
     a point costs one per atom and node plus one: n + 1 on the d = 1 ray.
     """
-    plain = next((f for f in (psi, phi) if f.radial_atomic is None), None)
+    radials = [normal_form(f)[0] for f in (phi, psi)]
+    plain = psi if radials[1] is None else phi if radials[0] is None else None
     read_atoms = read(plain or make_discrete(atoms))
 
     def g(s):
-        g_phi, g_psi = (0.0 if f.radial_atomic is None
-                        else np.asarray(f.radial_atomic.radial_minus_one(s)) for f in (phi, psi))
+        g_phi, g_psi = (0.0 if f is None else np.asarray(f.radial_minus_one(s)) for f in radials)
         return g_phi - g_psi
 
     read_g = _radial_reader(g, counts)
@@ -822,7 +840,8 @@ def difference_profile(phi: CharFn, psi: CharFn | None = None, *, k: int,
             f, h = _shared_reader(phi, psi, shared, read, counts), None
         else:
             f, h = read(phi), None if psi is None else read(psi)
-        evaluate = _mean_terms(coeffs, f, h, rule, part, magnitude)
+        evaluate = _mean_terms(coeffs, f, h, rule, part, magnitude,
+                               max(_evaluated_atoms(c) for c in (phi, psi) if c is not None))
     freq = k * (phi.osc_scale + (0.0 if psi is None else psi.osc_scale))
     tail = _profile_tail(phi, psi, coeffs, part, magnitude)
     return DifferenceProfile(evaluate, sphere_area(d), float(freq), magnitude=magnitude,
@@ -846,7 +865,8 @@ def derivative_profile(phi: CharFn, sigma: tuple, *, spec: QuadratureSpec) -> Di
     nodes, rule = _angular_rule(d, spec)
     read = _node_reader(lambda pts: np.asarray(phi.derivative(sigma, pts)) - base,
                         _factor_cost(phi), nodes, counts)
-    evaluate = _mean_terms(binomial_difference_coefficients(1), read, None, rule, "complex", True)
+    evaluate = _mean_terms(binomial_difference_coefficients(1), read, None, rule, "complex", True,
+                           _evaluated_atoms(phi))
     tail = StabilizedTail(abs(base))
     gap = _single_atom_gap([phi], 1)
     if gap is not None:
@@ -1062,9 +1082,7 @@ def absolute_moment(phi: CharFn, alpha: float, spec: QuadratureSpec | None = Non
                     method: str = "auto") -> MomentResult:
     """Absolute moment of order alpha of the measure behind ``phi``.
 
-    Even-integer orders route to :func:`even_order_moment`: one coefficient
-    of the origin series where ``phi`` carries one, the limit of nearby
-    orders otherwise.  ``method``
+    Even-integer orders route to :func:`even_order_moment`.  ``method``
     may force the exact atom sum or analytic oracle (``'exact'``) instead
     of quadrature.  Raises :class:`DivergenceSuspectedError` when the
     difference integral behaves like that of a measure without a finite
@@ -1083,13 +1101,13 @@ def absolute_moment(phi: CharFn, alpha: float, spec: QuadratureSpec | None = Non
                                 "analytic-oracle", None)
         raise DomainError(f"{phi.label} carries no exact moment oracle")
     if _is_near_integer(alpha, _GUARD_BAND) and round(alpha) % 2 == 0:
-        if formula not in (None, "even-limit", "even-series"):
+        if formula not in (None, "even-series"):
             raise DomainError(
                 "orders at (or within the guard band of) an even integer are "
-                "outside the difference formulas' hypotheses; use the "
-                "even-order limit"
+                "outside the difference formulas' hypotheses; use "
+                "even_order_moment"
             )
-        return even_order_moment(phi, round(alpha), spec)
+        return even_order_moment(phi, round(alpha))
     if k is None and formula is None:
         k, formula = select_difference_order(alpha)
     elif formula is None:
@@ -1116,75 +1134,32 @@ def absolute_moment(phi: CharFn, alpha: float, spec: QuadratureSpec | None = Non
     return MomentResult(max(value, 0.0), error, formula, k, diag)
 
 
-def even_order_moment(phi: CharFn, order: int,
-                      spec: QuadratureSpec | None = None) -> MomentResult:
-    """Even-integer moments ``E|X|**order``.
+def even_order_moment(phi: CharFn, order: int) -> MomentResult:
+    """Even-integer moments ``E|X|**order``, one coefficient of the origin
+    series (:meth:`CharFn.series`, route ``'even-series'``).
 
-    Where ``phi`` carries an origin series (:meth:`CharFn.series`) the
-    moment is one of its coefficients (route ``'even-series'``).  The sphere
-    mean of ``exp(-i xi . x)`` is ``sum_l kappa_l (r |x|)**(2l)`` with
-    ``kappa_l = (-1)**l / D_l`` (:func:`~cfmoments.specfun.plane_wave_mean_denominator`),
-    so the sphere mean of ``phi - 1`` is ``sum_l kappa_l E|X|**(2l) r**(2l)``
-    and ``E|X|**(2j) = b_j / kappa_j`` for the coefficient ``b_j`` of
+    The sphere mean of ``exp(-i xi . x)`` is ``sum_l kappa_l (r |x|)**(2l)``
+    with ``kappa_l = (-1)**l / D_l``
+    (:func:`~cfmoments.specfun.plane_wave_mean_denominator`), so the sphere
+    mean of ``phi - 1`` is ``sum_l kappa_l E|X|**(2l) r**(2l)`` and
+    ``E|X|**(2j) = b_j / kappa_j`` for the coefficient ``b_j`` of
     ``r**(2j)``.  The error estimate is the coefficient's rounding bound
     carried through the quotient; the diagnostics hold the exponent, b_j
     and kappa_j.  A nonzero term at an exponent below ``2j`` that is not an
     even integer (a stable or Linnik law, or a heat flow, with p < 2) means
     the moment is infinite and raises :class:`DivergenceSuspectedError`, as
     does a negative quotient.  Orders up to ``2 MAX_DIFFERENCE_ORDER``, the
-    series' last exponent, are supported.
-
-    A transform without a series takes the limit of nearby fractional
-    orders (route ``'even-limit'``, orders up to ``MAX_DIFFERENCE_ORDER -
-    1``): the moment at ``order - 0.1 * 2**-j`` for j = 0..6,
-    Richardson-extrapolated over the final three values; the caller must
-    know the measure has moments beyond ``order`` for the limit to exist.
-    The extrapolation spread is reported as the error estimate.  Those
-    evaluations use difference order ``k = order + 1``: there the
-    degeneration at the even integer sits in the constants (the
-    alternating sum and the sine factor vanish together, both computed
-    accurately near their zeros) while the integral itself stays regular.
+    series' last exponent, are supported; a transform without a series
+    raises :class:`DomainError`.
     """
-    spec = spec or QuadratureSpec()
     if order <= 0 or order % 2 != 0:
         raise DomainError("order must be a positive even integer")
     series = phi.series()
-    if series is not None:
-        return _even_from_series(phi, series, order)
-    if order + 1 > MAX_DIFFERENCE_ORDER:
+    if series is None:
         raise DomainError(
-            f"even-order limit supports orders up to {MAX_DIFFERENCE_ORDER - 1}"
+            f"{phi.label} carries no origin series, so its even-order moments are "
+            f"not available; build the CharFn with origin_series"
         )
-    eps = 0.1 * 0.5 ** np.arange(7)
-    values = []
-    errors = []
-    k_used = order + 1
-    for e in eps:
-        res = absolute_moment(phi, order - e, spec, k=order + 1, formula="M13")
-        values.append(res.value)
-        errors.append(res.error_estimate)
-    f0, f1, f2 = values[-3], values[-2], values[-1]
-    r1a = 2.0 * f1 - f0
-    r1b = 2.0 * f2 - f1
-    r2 = (4.0 * r1b - r1a) / 3.0
-    spread = abs(r2 - r1b)
-    err = spread + 4.0 * max(errors[-3:])
-    return MomentResult(
-        max(r2, 0.0),
-        err,
-        "even-limit",
-        k_used,
-        {
-            "orders": list(order - eps),
-            "values": values,
-            "extrapolants": [r1a, r1b, r2],
-        },
-    )
-
-
-def _even_from_series(phi: CharFn, series, order: int) -> MomentResult:
-    """``E|X|**order = b_j / kappa_j`` from the origin series (see
-    :func:`even_order_moment`)."""
     if order > 2 * MAX_DIFFERENCE_ORDER:
         raise DomainError(
             f"origin series hold orders up to {2 * MAX_DIFFERENCE_ORDER}"

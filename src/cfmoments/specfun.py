@@ -69,15 +69,25 @@ def power_difference_sum(k: int, alpha: float) -> float:
     """``sum_{m=1}^{k} binom(k,m) (-1)**(k-m) m**alpha``.
 
     Equals the k-th forward difference of ``x**alpha`` at 0 with unit step:
-    zero at integer alpha in [1, k-1], ``k!`` at alpha = k.
+    zero at integer alpha in [1, k-1], ``k!`` at alpha = k.  Near such an
+    n, ``sum c_m m**n = 0`` leaves ``sum c_m m**n expm1((alpha - n) ln m)``.
     """
     if alpha < 0:
         raise DomainError("power_difference_sum requires alpha >= 0")
     coeffs = binomial_difference_coefficients(k)
-    if alpha == round(alpha) and 1 <= round(alpha) <= k - 1:
-        return 0.0
-    terms = [coeffs[m] * m**alpha for m in range(1, k + 1)]
-    return math.fsum(terms)
+    n = round(alpha)
+    if 1 <= n <= k - 1:
+        return math.fsum(coeffs[m] * m**n * math.expm1((alpha - n) * math.log(m))
+                         for m in range(1, k + 1))
+    return math.fsum(coeffs[m] * m**alpha for m in range(1, k + 1))
+
+
+def _sin_half_pi(alpha: float) -> float:
+    """``sin(alpha pi/2)``, near its zeros too, from ``alpha - round(alpha)``
+    (exact by Sterbenz's lemma) and the quadrant ``round(alpha) mod 4``."""
+    n = round(alpha)
+    h = (alpha - n) * math.pi / 2.0
+    return (math.sin(h), math.cos(h), -math.sin(h), -math.cos(h))[n % 4]
 
 
 def mean_value_theta(k: int, alpha: float) -> float:
@@ -117,7 +127,7 @@ def moment_constant(k: int, alpha: float, d: int) -> float:
         raise DomainError("order alpha must be positive")
     if _is_integer(alpha) and round(alpha) % 2 == 0:
         raise DomainError(
-            f"alpha={alpha} is an even integer: excluded order, use the even-order limit"
+            f"alpha={alpha} is an even integer: excluded order, use even_order_moment"
         )
     if _is_integer(alpha) and 1 <= round(alpha) <= k - 1:
         raise DomainError(
@@ -126,7 +136,7 @@ def moment_constant(k: int, alpha: float, d: int) -> float:
     s = power_difference_sum(k, alpha)
     if s == 0.0 or not math.isfinite(s):
         raise DomainError(f"alternating power sum degenerate at k={k}, alpha={alpha}")
-    num = math.sin(alpha * math.pi / 2.0) * gamma(alpha + 1.0) * gamma((alpha + d) / 2.0)
+    num = _sin_half_pi(alpha) * gamma(alpha + 1.0) * gamma((alpha + d) / 2.0)
     den = math.pi ** ((d + 1) / 2.0) * s * gamma((alpha + 1.0) / 2.0)
     return -num / den
 
@@ -150,7 +160,7 @@ def difference_integral_constant(k: int, alpha: float, d: int) -> float:
         )
     s = power_difference_sum(k, alpha)
     num = math.pi ** ((d + 1) / 2.0) * s * gamma((alpha + 1.0) / 2.0)
-    den = math.sin(alpha * math.pi / 2.0) * gamma(alpha + 1.0) * gamma((alpha + d) / 2.0)
+    den = _sin_half_pi(alpha) * gamma(alpha + 1.0) * gamma((alpha + d) / 2.0)
     return -num / den
 
 
@@ -174,7 +184,7 @@ def cosine_difference_integral(k: int, alpha: float) -> float:
         if n == k and k % 2 == 1:
             return (-1.0) ** ((k + 1) // 2) * math.pi
     s = power_difference_sum(k, alpha)
-    return -math.pi * s / (math.sin(math.pi * alpha / 2.0) * gamma(alpha + 1.0))
+    return -math.pi * s / (_sin_half_pi(alpha) * gamma(alpha + 1.0))
 
 
 def sin_squared_mellin(delta: float) -> float:

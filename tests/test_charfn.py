@@ -391,8 +391,13 @@ class TestOriginSeries:
         custom = cf.CharFn(dim=2, minus_one=g.minus_one, is_radial=True, is_real=True,
                            radial_minus_one=g.radial_minus_one)
         flow = evolve(cf.make_point_mass([0.3, 0.4]), 2.0, 0.5)
-        # neither factor radial, and one carries no atoms
-        assert cf.make_product(flow, cf.make_point_mass([1.0, 0.0])).series() is None
+        pm = cf.make_point_mass([1.0, 0.0])
+        # a flow times an atomic law is a form on the convolved atoms
+        assert cf.make_product(flow, pm).series() is not None
+        # a mixture of flows has no normal form: a non-radial product with it has no series
+        mix = cf.make_mixture([flow, evolve(pm, 2.0, 0.5)], [0.5, 0.5])
+        assert mix.series() is not None and cf.normal_form(mix) is None
+        assert cf.make_product(mix, pm).series() is None
         assert custom.series() is None
         assert cf.make_product(custom, g).series() is None
         assert cf.make_mixture([custom, g], [0.5, 0.5]).series() is None

@@ -26,7 +26,7 @@ class TestSelectOrder:
         assert me.select_difference_order(3.0) == (3, "M13")
 
     def test_even_integer(self):
-        assert me.select_difference_order(2.0) == (None, "even-limit")
+        assert me.select_difference_order(2.0) == (None, "even-series")
 
     def test_larger_fractional(self):
         assert me.select_difference_order(2.5) == (3, "M13")
@@ -76,6 +76,14 @@ class TestAbsoluteMoment:
         res = me.absolute_moment(cf.make_gaussian(1.0, 1), 2.0)
         assert res.formula == "even-series"
         assert res.value == pytest.approx(2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bars_cover_near_even_integers(self, d):
+        g = cf.make_gaussian(0.7, d)
+        for alpha in (1.9, 1.999, 1.9999, 2.0001, 2.001, 2.01):
+            res = me.absolute_moment(g, alpha, k=3)
+            exact = cfo.stable_moment(2.0, alpha, d) * 0.7 ** (alpha / 2)
+            assert abs(res.value - exact) <= res.error_estimate, alpha
 
     def test_guard_band_reroutes_complex_formula(self):
         g = cf.make_gaussian(1.0, 1)
@@ -374,22 +382,21 @@ class TestEvenSeries:
         with pytest.raises(DomainError):
             me.even_order_moment(g, 26)
 
-    def test_transforms_without_a_series_take_the_limit(self):
+    def test_transforms_without_a_series_raise(self):
         import dataclasses
 
         from cfmoments.heat import evolve
 
         a, b = np.array([0.8]), np.array([-0.3])
-        # neither factor radial, and one carries no atoms: no series
+        # a flow times an atomic law is the flow of the convolved atoms
         phi = cf.make_product(evolve(cf.make_point_mass(a), 2.0, 0.5), cf.make_point_mass(b))
-        assert phi.series() is None
-        res = me.even_order_moment(phi, 2)
-        assert res.formula == "even-limit" and res.k_used == 3
-        assert res.value == pytest.approx(float((a + b) @ (a + b)) + 1.0, rel=1e-6)
+        self._check(phi, 2, float((a + b) @ (a + b)) + 1.0)
         bare = dataclasses.replace(cf.make_gaussian(1.0, 1), origin_series=None)
-        assert me.even_order_moment(bare, 2).formula == "even-limit"
-        with pytest.raises(DomainError):
-            me.even_order_moment(bare, 12)
+        for order in (2, 12):
+            with pytest.raises(DomainError, match="origin_series"):
+                me.even_order_moment(bare, order)
+        with pytest.raises(DomainError, match="origin_series"):
+            me.absolute_moment(bare, 2.0)
 
 
 class TestDivergenceDetection:
@@ -1097,6 +1104,134 @@ def _sphere_D(coeffs, phi, psi, d, order, r, part, magnitude):
         return (me._reduce_part(acc, part, True) @ node_w) / area, terms / area
     acc /= area
     return me._reduce_part(acc, part, False), terms / area
+
+
+class TestNormalFormProducts:
+    """Products and scalings of laws ``(1 + g)(1 + A)`` carry the form of
+    the law they equal by the convolution theorem: the same moments, the
+    same cost and the same even orders as that law built directly."""
+
+    T = 0.5
+
+    @classmethod
+    def _cases(cls, d):
+        from cfmoments.cli import build_measure
+        from cfmoments.heat import evolve
+
+        rng = np.random.default_rng(90 + d)
+        mu = cf.make_empirical(rng.normal(scale=0.7, size=(5, d)))
+        nu = cf.make_empirical(rng.normal(scale=0.7, size=(3, d)))
+        a, b = (rng.normal(scale=0.7, size=d) for _ in range(2))
+        t = cls.T
+
+        def flow(law, tt=t):
+            return evolve(law, 2.0, tt)
+
+        def direct(first, second, tt=t):
+            return flow(cf.make_discrete(first.atoms.convolve(second.atoms)), tt)
+
+        gauss = {"family": "gaussian", "t": t, "d": d}
+        # (product, the law built directly, that law's flow time)
+        return {
+            "form-atomic": (cf.make_product(flow(mu), nu), direct(mu, nu), t),
+            "atomic-form": (cf.make_product(nu, flow(mu)), direct(nu, mu), t),
+            "form-form": (cf.make_product(flow(mu, 0.2), flow(nu, 0.3)), direct(mu, nu), t),
+            "scaled": (cf.make_scaled(flow(mu), 1.7),
+                       flow(cf.make_discrete(mu.atoms.scaled(1.7)), t * 1.7**2), t * 1.7**2),
+            "cli-product": (
+                build_measure({"family": "product", "factors": [
+                    {"family": "point_mass", "point": a.tolist()}, gauss,
+                    {"family": "point_mass", "point": b.tolist()}]}),
+                flow(cf.make_point_mass(a + b)), t),
+        }
+
+    CASES = ["form-atomic", "atomic-form", "form-form", "scaled", "cli-product"]
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_fractional_orders(self, d, case):
+        phi, law, _ = self._cases(d)[case]
+        assert phi.radial_atomic is not None
+        for alpha in (0.5, 1.5):
+            got, ref = me.absolute_moment(phi, alpha), me.absolute_moment(law, alpha)
+            assert got.value == pytest.approx(ref.value, rel=1e-12), alpha
+            if d > 1:
+                assert got.diagnostics["kernel_evals"] == ref.diagnostics["kernel_evals"]
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_even_orders(self, d, case):
+        phi, law, t = self._cases(d)[case]
+        atoms = law.radial_atomic.atoms
+        for order in (2, 4):
+            exact = _noncentral_gaussian_moment(t, atoms.points, atoms.weights, order)
+            res = TestEvenSeries._check(phi, order, exact)
+            assert res.value == pytest.approx(me.even_order_moment(law, order).value, rel=1e-12)
+
+
+class TestNodeBatches:
+    """A sphere-rule mean reads at most ``_NODE_BATCH`` radius x node x atom
+    products at once, counting the atoms of the factors' normal forms."""
+
+    SPEC = QuadratureSpec(sphere_order=8)  # 64 nodes in d = 3
+    R = np.geomspace(0.1, 20.0, 10)
+
+    def test_chunks_of_a_fake_reader(self, monkeypatch):
+        _, rule = me._angular_rule(3, self.SPEC)
+        seen = []
+
+        def reader(s):
+            seen.append(s.size)
+            return np.exp(1j * np.outer(s, np.arange(64) / 64.0)) - 1.0
+
+        def mean():
+            seen.clear()
+            evaluate = me._mean_terms(me.binomial_difference_coefficients(2), reader, None,
+                                      rule, "complex", True, atoms=10)
+            D, terms = evaluate(self.R, True)
+            return D, terms, list(seen)
+
+        whole, whole_terms, calls = mean()
+        assert calls == [10, 10]
+        monkeypatch.setattr(me, "_NODE_BATCH", 3 * 64 * 10)
+        chunked, chunked_terms, calls = mean()
+        # three radii per chunk, each read at m = 1 and 2
+        assert calls == [3, 3, 3, 3, 3, 3, 1, 1]
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(chunked - whole) <= 4 * eps * whole)
+        assert np.all(np.abs(chunked_terms - whole_terms) <= 4 * eps * whole_terms)
+
+    def test_a_form_counts_its_atoms(self, monkeypatch):
+        import dataclasses
+
+        from cfmoments.heat import evolve
+
+        rng = np.random.default_rng(7)
+        flow = evolve(cf.make_empirical(rng.normal(size=(10, 3))), 2.0, 0.5)
+        other = cf.make_empirical(rng.normal(size=(4, 3)))
+        seen = []
+
+        def record(pts):
+            seen.append(pts.shape[0])
+            return flow.minus_one(pts)
+
+        # the recorder keeps the flow's form: ten atoms, though charged one
+        phi = dataclasses.replace(flow, minus_one=record)
+
+        def profile():
+            seen.clear()
+            prof = me.difference_profile(phi, other, k=1, spec=self.SPEC, part="complex",
+                                         magnitude=True)
+            return prof.D(self.R), prof.counts.kernel_evals, list(seen)
+
+        whole, evals, calls = profile()
+        assert calls == [10 * 64]
+        monkeypatch.setattr(me, "_NODE_BATCH", 3 * 64 * 10)
+        chunked, chunked_evals, calls = profile()
+        assert calls == [3 * 64, 3 * 64, 3 * 64, 64]
+        assert chunked_evals == evals
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(chunked - whole) <= 4 * eps * whole)
 
 
 class TestSphereRuleProfile:

@@ -89,6 +89,18 @@ class TestPowerDifferenceSum:
     def test_nonzero_off_integers(self, k, alpha):
         assert sf.power_difference_sum(k, alpha) != 0.0
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_near_interior_integers(self, n):
+        # the sum vanishes at n, so each term must keep its own accuracy
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        for delta in (-1e-1, -1e-3, -1e-6, -1e-9, 1e-9, 1e-6, 1e-3, 1e-1):
+            alpha = n + delta
+            ref = sum(math.comb(3, m) * (-1) ** (3 - m) * mpmath.mpf(m) ** mpmath.mpf(alpha)
+                      for m in range(1, 4))
+            got = sf.power_difference_sum(3, alpha)
+            assert abs(got - ref) <= 4e-15 * abs(ref), (alpha, float(abs(got / ref - 1)))
+
     def test_mean_value_theta_in_unit_interval(self):
         for k in (1, 2, 3, 4, 5):
             for alpha in (0.3, 0.8, 1.4, 2.6, 3.3, 5.7, 7.2):
@@ -114,6 +126,23 @@ class TestConstants:
             sf.moment_constant(2, 1.0, 1)  # alternating sum vanishes
         with pytest.raises(DomainError):
             sf.moment_constant(3, 2.0, 1)  # even integer order
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_moment_constant_near_even_integers(self, d):
+        # sin(alpha pi / 2) vanishes there, and so does the power sum below
+        # k; what is left is the sum's own cancellation, growing with k
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        for k, n in ((3, 2), (5, 2), (5, 4)):
+            for delta in (-1e-2, -1e-4, -1e-6, 1e-6, 1e-4, 1e-2):
+                a = mpmath.mpf(n + delta)
+                s = sum(math.comb(k, m) * (-1) ** (k - m) * mpmath.mpf(m) ** a
+                        for m in range(1, k + 1))
+                ref = -(mpmath.sin(a * mpmath.pi / 2) * mpmath.gamma(a + 1)
+                        * mpmath.gamma((a + d) / 2)
+                        / (mpmath.pi ** (mpmath.mpf(d + 1) / 2) * s * mpmath.gamma((a + 1) / 2)))
+                got = sf.moment_constant(k, n + delta, d)
+                assert abs(got - ref) <= 1e-13 * abs(ref), (k, n + delta, float(abs(got / ref - 1)))
 
     def test_reciprocal_pair(self):
         assert sf.difference_integral_constant(1, 1.0, 1) == pytest.approx(-math.pi, rel=1e-14)
