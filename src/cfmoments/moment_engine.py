@@ -23,11 +23,12 @@ at the nodes +1 and -1.  A pair of transforms that share their atoms,
 each a radial x atomic product ``(1 + g) (1 + A)`` or the atomic law
 itself (g = 0), such as a heat flow and its datum, is one factor
 ``(g_phi - g_psi) (1 + A)``: the atoms are read once, and the radial
-difference at each radius.  Along the ray, a factor with more than 48 atoms
-is read from lazily built Chebyshev blocks
-(:class:`~cfmoments.quadrature.ChebyshevBlocks`) that the profile keeps
-for its lifetime, each built from the factor's atoms at one complex
-exponential per atom.
+difference at each radius.  Along the ray, an atomic law with more than
+48 atoms is read from lazily built Chebyshev blocks
+(:class:`~cfmoments.quadrature.ChebyshevBlocks`), summed by Clenshaw's
+recurrence, that the profile keeps for its lifetime, each built from the
+law's atoms at one complex exponential per atom; a pair of two such laws
+is read from one table of their difference, built from the atoms of both.
 
 The integral of ``r**(-1-alpha) D(r)`` is then taken in three regions: an
 analytic power-law head below the origin cut (the difference vanishes like
@@ -42,12 +43,12 @@ mean for atom pairs, a stabilized window around a known or estimated
 limit, or the exact Fourier series of |sin| for a pair of single atoms.
 Each pass reports its cost with its diagnostics: the radii at which D was
 evaluated (``points``) and the kernel evaluations behind them
-(``kernel_evals``: one per atom, or one for a formula, and point evaluated
-directly, one per atom and built Chebyshev block, one per radius for the
+(``kernel_evals``: one per atom of the factor's normal form, or one for
+a formula, and point evaluated directly, one per atom and built Chebyshev
+block, the atoms of both laws for a pair's table, one per radius for the
 radial factor of a shared-atom pair, and one per atomic kernel sum read
 from its series, whose moments cost one per atom when the profile is
-built).  A radial x atomic product outside a shared-atom pair carries no
-atoms and is still charged one per point, although it evaluates its n.
+built).
 
 Even-integer orders take no difference integral: :func:`even_order_moment`
 reads the moment from one coefficient of the transform's origin series.
@@ -81,6 +82,7 @@ from .specfun import (
     binomial_difference_coefficients,
     moment_constant,
     plane_wave_mean_denominator,
+    power_difference_condition,
     power_difference_sum,
     sphere_area,
 )
@@ -409,9 +411,10 @@ class SinSeriesTail:
 class _EvalCounts:
     """Evaluator cost of a profile: radii at which D was evaluated, and
     kernel evaluations.  Each factor reader charges its own: one per point
-    of a radial profile, one per atom (one for a formula) and point or
-    sphere node evaluated directly, and one per atom for each Chebyshev
-    block of a ray table (one complex exponential per atom builds a
+    of a radial profile, one per atom of the factor's normal form (one for
+    a formula) and point or sphere node evaluated directly, and one per
+    atom for each Chebyshev block of a ray table, the atoms of both laws
+    for a pair's table (one complex exponential per atom builds a
     block).  The atomic reduction charges one per atom for the even
     moments of its series, once, when it is built; then, per m and radius,
     one for a kernel sum read from the series or one per atom off the
@@ -480,12 +483,15 @@ def _reduce_part(acc, part, magnitude):
     return np.abs(vals) if magnitude else vals
 
 
-def _mean_terms(coeffs, f, h, rule, part, magnitude, atoms=1):
+def _mean_terms(coeffs, f, h, rule, part, magnitude, atoms=1, difference=None):
     """Evaluator of the angular mean of ``sum_m c_m (f - h)(m r)``.
 
     ``f`` and ``h`` (None for the constant transform 1) are factor readers:
     each maps the radii ``m r`` to its factor minus one at every node of
-    ``rule`` and charges its own kernel evaluations.  ``rule`` is None for
+    ``rule`` and charges its own kernel evaluations.  ``difference``, when
+    given, reads ``f - h`` in one (the pair table of
+    :func:`_pair_table_reader`) and replaces the two reads wherever the
+    terms' magnitudes ``|f| + |h|`` are not asked for.  ``rule`` is None for
     one node, which serves the radial profile and the d = 1 ray, or the
     sphere rule's ``(weights, area)``.  Signed terms are combined per m, and
     on one node the signed mean is the real part: the d = 1 nodes +1 and -1
@@ -501,14 +507,17 @@ def _mean_terms(coeffs, f, h, rule, part, magnitude, atoms=1):
         acc = terms = 0.0
         for m in range(1, coeffs.size):
             s = m * r
-            vals = f(s)
-            if with_magnitude:
-                amp = np.abs(vals)
-            if h is not None:
-                other = h(s)
+            if difference is not None and not with_magnitude:
+                vals = difference(s)
+            else:
+                vals = f(s)
                 if with_magnitude:
-                    amp = amp + np.abs(other)
-                vals = vals - other
+                    amp = np.abs(vals)
+                if h is not None:
+                    other = h(s)
+                    if with_magnitude:
+                        amp = amp + np.abs(other)
+                    vals = vals - other
             if not magnitude:
                 vals = vals.real if rule is None else vals @ node_w
             acc = acc + coeffs[m] * vals
@@ -534,22 +543,6 @@ def _mean_terms(coeffs, f, h, rule, part, magnitude, atoms=1):
     return evaluate
 
 
-def _factor_cost(phi: CharFn) -> int:
-    """Kernel evaluations per point: one per atom, one for a formula.
-
-    A transform is costed by the ``atoms`` it carries, not by how its
-    ``minus_one`` is composed: a product of atomic laws counts its n m
-    convolved atoms although it evaluates its two factors (n + m), and a
-    product with a formula factor carries no atoms and counts one, the
-    radial x atomic heat flow included, although it evaluates its n atoms;
-    only in a shared-atom pair are those atoms read and charged, once
-    (:func:`_shared_reader`).  The
-    same count is the cost of one Chebyshev block of the factor's ray
-    table, which spends one complex exponential per atom.
-    """
-    return phi.atoms.size if phi.atoms is not None else 1
-
-
 def _radial_reader(g, counts):
     """Radial profile minus one at the radii s, one kernel evaluation each."""
     def read(s):
@@ -571,7 +564,17 @@ def _angular_rule(d: int, spec: QuadratureSpec):
 
 
 def _evaluated_atoms(phi: CharFn) -> int:
-    """The atoms of the normal form of ``phi``, or one for none."""
+    """Kernel evaluations per point of ``phi``: the atoms of its normal
+    form, one per atom, or one for a formula.
+
+    A product of atomic laws counts its n m convolved atoms although it
+    evaluates its two factors (n + m), and a radial x atomic form counts
+    its n atoms and not its radial factor; in a shared-atom pair those
+    atoms are read once and the radial difference is charged apart
+    (:func:`_shared_reader`).  The same count is the cost of one Chebyshev
+    block of an atomic law's ray table, which spends one complex
+    exponential per atom.
+    """
     form = normal_form(phi)
     return 1 if form is None or form[1] is None else form[1].size
 
@@ -590,34 +593,64 @@ def _node_reader(fn, cost, nodes, counts):
     return read
 
 
-def _ray_reader(phi: CharFn, counts):
-    """``phi(s) - 1`` along the positive axis of d = 1, for s >= 0.
+def _table_atoms(phi: CharFn):
+    """The atoms of a d = 1 factor read from Chebyshev blocks: those of an
+    atomic law with more than ``_TABLE_ATOMS`` atoms, not all at the
+    origin; None for any other factor, a radial x atomic form included."""
+    atoms = phi.atoms
+    if atoms is None or atoms.size <= _TABLE_ATOMS or not np.any(atoms.points):
+        return None
+    return atoms
 
-    A factor costing more than ``_TABLE_ATOMS`` kernel evaluations per
-    point is the plane-wave sum ``sum_j w_j (exp(-i x_j s) - 1)``, entire
-    of exponential type tau = max |x_j|, so it is read from Chebyshev
-    blocks built from its atoms as queries land and kept for the reader's
-    lifetime.  The reader charges its own cost: ``_factor_cost`` for each
-    point evaluated directly (every point of a small factor, and each
-    radius below the first block, where the origin descent and its noise
-    probe live) and for each block built.  Atoms all at the origin
-    (tau = 0) give a constant, read directly.
-    """
-    cost = _factor_cost(phi)
-    direct = _node_reader(phi.minus_one, cost, None, counts)
-    if cost <= _TABLE_ATOMS:
-        return direct
-    x = phi.atoms.points[:, 0]
-    if not np.any(x):
-        return direct
-    table = ChebyshevBlocks(direct, -x, phi.atoms.weights)
 
+def _table_reader(table, cost, counts):
+    """Reader of the Chebyshev blocks ``table``, charged ``cost`` for each
+    block built; the table's direct reader charges its own points."""
     def read(s):
         before = table.blocks_built
         vals = table(s)
         counts.kernel_evals += (table.blocks_built - before) * cost
         return vals
     return read
+
+
+def _ray_reader(phi: CharFn, counts):
+    """``phi(s) - 1`` along the positive axis of d = 1, for s >= 0.
+
+    An atomic law with more than ``_TABLE_ATOMS`` atoms is the plane-wave
+    sum ``sum_j w_j (exp(-i x_j s) - 1)``, entire of exponential type tau =
+    max |x_j|, so it is read from Chebyshev blocks built from its atoms as
+    queries land and kept for the reader's lifetime.  The reader charges
+    its own cost: ``_evaluated_atoms`` for each point evaluated directly
+    (every point of any other factor, and each radius below the first
+    block, where the origin descent and its noise probe live) and for each
+    block built.  Atoms all at the origin (tau = 0) give a constant, read
+    directly.
+    """
+    direct = _node_reader(phi.minus_one, _evaluated_atoms(phi), None, counts)
+    atoms = _table_atoms(phi)
+    if atoms is None:
+        return direct
+    return _table_reader(ChebyshevBlocks(direct, -atoms.points[:, 0], atoms.weights),
+                         atoms.size, counts)
+
+
+def _pair_table_reader(phi: CharFn, psi: CharFn, read_phi, read_psi, counts):
+    """Reader of ``phi - psi`` along the d = 1 ray for two atomic laws that
+    would each get a ray table (:func:`_table_atoms`): one table of the
+    difference, the plane-wave sum over the atoms of both with the weights
+    of ``psi`` negated, in place of two tables read at the same radii.
+
+    ``read_phi`` and ``read_psi`` are the laws' direct readers, which the
+    table calls below its first block and which charge their own points.
+    A block costs one complex exponential per atom of either law,
+    ``n_phi + n_psi`` kernel evaluations.
+    """
+    a, b = phi.atoms, psi.atoms
+    table = ChebyshevBlocks(lambda s: read_phi(s) - read_psi(s),
+                            -np.concatenate([a.points[:, 0], b.points[:, 0]]),
+                            np.concatenate([a.weights, -b.weights]))
+    return _table_reader(table, a.size + b.size, counts)
 
 
 def _atomic_terms(atoms, coeffs, counts, g=None):
@@ -796,8 +829,10 @@ def difference_profile(phi: CharFn, psi: CharFn | None = None, *, k: int,
     takes one factor ``(g_phi - g_psi) (1 + A)`` on that geometry, for
     every k, part and magnitude, with the pair's usual tail; the atoms are
     read once, at one per atom and node, and the radial difference at one
-    per radius, where reading the two transforms apart would read them
-    twice and charge the product one per point.  On a single atom, the
+    per radius, where reading the two transforms apart would read the
+    atoms twice.  In dimension one a pair of atomic laws that would each
+    be read from a ray table is read from one table of their difference
+    (:func:`_pair_table_reader`).  On a single atom, the
     complex magnitude of the first difference is ``|g_phi - g_psi|`` at
     every node, which is the pair of the radial factors alone: that pair's
     profile is returned, with their envelopes and limits.
@@ -835,13 +870,20 @@ def difference_profile(phi: CharFn, psi: CharFn | None = None, *, k: int,
             def read(chi):
                 if nodes is None:
                     return _ray_reader(chi, counts)
-                return _node_reader(chi.minus_one, _factor_cost(chi), nodes, counts)
+                return _node_reader(chi.minus_one, _evaluated_atoms(chi), nodes, counts)
+        difference = None
         if shared is not None:
             f, h = _shared_reader(phi, psi, shared, read, counts), None
+        elif d == 1 and psi is not None and None not in (_table_atoms(phi), _table_atoms(psi)):
+            # the noise probe still reads |phi - 1| and |psi - 1| apart,
+            # directly, and the table reads below its first block with them
+            f, h = (_node_reader(c.minus_one, c.atoms.size, None, counts) for c in (phi, psi))
+            difference = _pair_table_reader(phi, psi, f, h, counts)
         else:
             f, h = read(phi), None if psi is None else read(psi)
         evaluate = _mean_terms(coeffs, f, h, rule, part, magnitude,
-                               max(_evaluated_atoms(c) for c in (phi, psi) if c is not None))
+                               max(_evaluated_atoms(c) for c in (phi, psi) if c is not None),
+                               difference)
     freq = k * (phi.osc_scale + (0.0 if psi is None else psi.osc_scale))
     tail = _profile_tail(phi, psi, coeffs, part, magnitude)
     return DifferenceProfile(evaluate, sphere_area(d), float(freq), magnitude=magnitude,
@@ -857,14 +899,14 @@ def derivative_profile(phi: CharFn, sigma: tuple, *, spec: QuadratureSpec) -> Di
     sphere product rule in dimensions two and three, and in dimension one
     a single ray, since ``partial^sigma phi(-xi) - partial^sigma phi(0)``
     is ``(-1)**|sigma|`` times the conjugate of its value at xi for a real
-    measure.  The derivative reader charges ``_factor_cost`` per point.
+    measure.  The derivative reader charges ``_evaluated_atoms`` per point.
     """
     d = phi.dim
     base = complex(np.asarray(phi.derivative(sigma, np.zeros((1, d))))[0])
     counts = _EvalCounts()
     nodes, rule = _angular_rule(d, spec)
     read = _node_reader(lambda pts: np.asarray(phi.derivative(sigma, pts)) - base,
-                        _factor_cost(phi), nodes, counts)
+                        _evaluated_atoms(phi), nodes, counts)
     evaluate = _mean_terms(binomial_difference_coefficients(1), read, None, rule, "complex", True,
                            _evaluated_atoms(phi))
     tail = StabilizedTail(abs(base))
@@ -1120,7 +1162,11 @@ def absolute_moment(phi: CharFn, alpha: float, spec: QuadratureSpec | None = Non
     J, err, diag = _signed_integral(phi, k, alpha, spec,
                                     "complex" if formula == "M12" else "real")
     value = A * J.real
-    error = abs(A) * (err + diag["imag_residual"]) + 4e-16 * abs(value)
+    # the constant's rounding, in units of 2**-53: four per term of the
+    # power sum, magnified by the sum's cancellation kappa, and eight for
+    # the rest of the constant and the product
+    kappa = power_difference_condition(k, alpha)
+    error = abs(A) * (err + diag["imag_residual"]) + (4.0 * kappa + 8.0) * 2.0**-53 * abs(value)
     if rerouted:
         diag["rerouted"] = True
     diag["normalizing_constant"] = A

@@ -13,7 +13,8 @@ the pieces the engine composes:
 * separable plane-wave sums on a grid of starts plus offsets, one matrix
   product in place of one exponential per term and point,
 * a lazily built piecewise-Chebyshev table of a plane-wave sum, built
-  from its amplitudes and read by interpolation instead of evaluation,
+  from its amplitudes and read by Clenshaw's recurrence instead of
+  evaluation,
 * the hybrid evaluator for oscillatory power tails, which closes the tails
   of many lower limits from one shared bridge grid.
 
@@ -415,8 +416,10 @@ class ChebyshevBlocks:
     The table holds ``F(s) = sum_n amps_n (exp(i freqs_n s) - 1)``, entire
     of exponential type ``tau = max |freqs_n|`` > 0, such as the transform
     minus one of the atoms ``x_j`` with weights ``w_j`` (``freqs = -x``,
-    ``amps = w``); ``f`` evaluates the same function directly.  Block j >= 1
-    covers ``[j width, (j+1) width]`` with ``width = 8 / tau``.  A query
+    ``amps = w``), or the difference of two such transforms (the atoms of
+    both, the second's weights negated); ``f`` evaluates the same function
+    directly.  Block j >= 1 covers ``[j width, (j+1) width]`` with ``width
+    = 8 / tau``.  A query
     fills every block it lands in that is not built yet, in batches of at
     most one block per ``DEGREE + 1`` query points and of at most
     ``_BUDGET`` terms times blocks, from the amplitudes:
@@ -425,14 +428,18 @@ class ChebyshevBlocks:
     the table keeps the type-I DCT of the offsets factor, so each block
     costs one complex exponential per term and a matrix product, and its
     Chebyshev coefficients come out directly (the sum of the amplitudes
-    is taken off the constant one).  Each point then gathers its block's
-    coefficients once and sums them against ``T_n`` of its local
-    coordinate.  Arguments below ``width`` (the first block) go to ``f``
-    directly.  ``blocks_built`` counts the blocks built so far.
+    is taken off the constant one).  Each block's coefficients are one
+    complex column of the store, and an integer array maps a block to its
+    column.  Each point gathers its block's column once and sums it by
+    Clenshaw's recurrence in its local coordinate.  Arguments below
+    ``width`` (the first block) go to ``f`` directly.  ``blocks_built``
+    counts the blocks built so far.
 
     The kept offsets factor holds ``DEGREE + 1`` complex numbers per term,
     whatever is queried: 40 MB for 1e5 atoms, and 400 MB for the 1e6
-    convolved atoms of a product of two 1000-atom laws.
+    convolved atoms of a product of two 1000-atom laws.  The map from
+    blocks to columns holds one integer per block up to the farthest one
+    queried.
 
     At degree 24 and ``tau * width / 2 = 4`` the first dropped Chebyshev
     coefficient of ``exp(i tau s)`` is ``2 J_25(4)`` = 4e-18, so the table
@@ -443,7 +450,7 @@ class ChebyshevBlocks:
 
     DEGREE = 24
     _HALF_PHASE = 4.0
-    _CHUNK = 2048
+    _CHUNK = 4096
     _BUDGET = 1 << 20  # terms times blocks in one build batch
 
     def __init__(self, f, freqs, amps):
@@ -463,66 +470,66 @@ class ChebyshevBlocks:
         dct[[0, -1], :] *= 0.5
         nodes = 0.5 * (1.0 + np.cos(math.pi * k / n))
         self._left = dct @ np.exp(1j * np.outer(self.width * nodes, self._freqs))
-        self._column = {}  # block index -> column of its coefficients
-        # real and imaginary coefficients, appended one row per block;
-        # the capacity doubles when full
-        self._coef = np.empty((16, 2, n + 1))
+        self.blocks_built = 0
+        # block index -> column of its coefficients, -1 while not built; the
+        # map grows to the farthest block queried, the store doubles when full
+        self._column = np.full(16, -1, dtype=np.intp)
+        self._coef = np.empty((n + 1, 16), dtype=complex)
 
     def _build(self, blocks):
         coef = plane_wave_grid(self._freqs, self._amps, blocks * self.width, self._left)
         coef[0] -= self._amps.sum()
-        first = len(self._column)
-        if first + blocks.size > self._coef.shape[0]:
-            grown = np.empty((2 * (first + blocks.size), 2, self.DEGREE + 1))
-            grown[:first] = self._coef[:first]
+        first = self.blocks_built
+        if first + blocks.size > self._coef.shape[1]:
+            grown = np.empty((self.DEGREE + 1, 2 * (first + blocks.size)), dtype=complex)
+            grown[:, :first] = self._coef[:, :first]
             self._coef = grown
-        self._coef[first:first + blocks.size, 0] = coef.real.T
-        self._coef[first:first + blocks.size, 1] = coef.imag.T
-        self._column.update(zip(blocks.tolist(), range(first, first + blocks.size)))
+        self._coef[:, first:first + blocks.size] = coef
+        self._column[blocks] = np.arange(first, first + blocks.size)
+        self.blocks_built = first + blocks.size
 
-    @property
-    def blocks_built(self) -> int:
-        return len(self._column)
-
-    def _interpolate(self, col, x):
-        """Real and imaginary parts at local coordinates ``x`` of the
-        blocks stored in columns ``col``: each point gathers its block's
-        coefficients once and sums them against ``T_n(x)``, a chunk of
-        points at a time so that the gathered rows stay small."""
-        out = np.empty((2, x.size))
-        for lo in range(0, x.size, self._CHUNK):
-            xc = x[lo:lo + self._CHUNK]
-            T = np.empty((self.DEGREE + 1, xc.size))
-            T[0] = 1.0
-            T[1] = xc
-            for n in range(2, self.DEGREE + 1):
-                T[n] = 2.0 * xc * T[n - 1] - T[n - 2]
-            out[:, lo:lo + xc.size] = np.einsum(
-                "pkn,np->kp", self._coef[col[lo:lo + self._CHUNK]], T
-            )
+    def _clenshaw(self, column, x):
+        """``sum_n c_n T_n(x)`` with the coefficients ``c`` of the blocks in
+        ``column``, by Clenshaw's recurrence, a chunk of points at a time so
+        that the gathered columns stay small.  As x is real, the recurrence
+        runs on the interleaved real and imaginary parts."""
+        out = np.empty(x.size, dtype=complex)
+        flat = out.view(float)
+        x = np.repeat(x, 2)
+        n = self.DEGREE
+        for lo in range(0, column.size, self._CHUNK):
+            c = np.take(self._coef, column[lo:lo + self._CHUNK], axis=1).view(float)
+            xc = x[2 * lo:2 * (lo + self._CHUNK)]
+            x2 = 2.0 * xc
+            b1, b2 = c[n], 0.0
+            for j in range(n - 1, 0, -1):
+                b1, b2 = c[j] + x2 * b1 - b2, b1
+            flat[2 * lo:2 * lo + c.shape[1]] = c[0] + xc * b1 - b2
         return out
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
-        block = np.floor(s / self.width).astype(np.int64)
+        block = np.floor(s / self.width).astype(np.intp)
         direct = block < 1
         if direct.all():
             return np.asarray(self.f(s))
         out = np.empty(s.shape, dtype=complex)
         if direct.any():
             out[direct] = self.f(s[direct])
-        block = block[~direct]
-        wanted, where = np.unique(block, return_inverse=True)
-        new = np.array([b for b in wanted.tolist() if b not in self._column], dtype=np.int64)
+        tabled = ~direct
+        block = block[tabled]
+        top = int(block.max())
+        if top >= self._column.size:
+            reach = np.full(max(top + 1, 2 * self._column.size), -1, dtype=np.intp)
+            reach[:self._column.size] = self._column
+            self._column = reach
+        new = np.unique(block[self._column[block] < 0])
         per_call = max(1, min(s.size // (self.DEGREE + 1), self._BUDGET // self._amps.size))
         for start in range(0, new.size, per_call):
             self._build(new[start:start + per_call])
-        col = np.array([self._column[b] for b in wanted.tolist()], dtype=np.int64)[where]
         # local coordinate in [-1, 1]; the nodes run from +1 down to -1
-        x = 2.0 * (s[~direct] - block * self.width) / self.width - 1.0
-        re, im = self._interpolate(col, x)
-        out.real[~direct] = re
-        out.imag[~direct] = im
+        x = 2.0 * (s[tabled] - block * self.width) / self.width - 1.0
+        out[tabled] = self._clenshaw(self._column[block], x)
         return out
 
 

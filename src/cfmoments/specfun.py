@@ -21,6 +21,7 @@ from .errors import DomainError
 __all__ = [
     "gamma",
     "power_difference_sum",
+    "power_difference_condition",
     "moment_constant",
     "difference_integral_constant",
     "cosine_difference_integral",
@@ -72,14 +73,29 @@ def power_difference_sum(k: int, alpha: float) -> float:
     zero at integer alpha in [1, k-1], ``k!`` at alpha = k.  Near such an
     n, ``sum c_m m**n = 0`` leaves ``sum c_m m**n expm1((alpha - n) ln m)``.
     """
+    return math.fsum(_power_difference_terms(k, alpha))
+
+
+def _power_difference_terms(k: int, alpha: float) -> list:
+    """The terms of :func:`power_difference_sum`, in their expm1 form near
+    an integer n in [1, k - 1]."""
     if alpha < 0:
         raise DomainError("power_difference_sum requires alpha >= 0")
     coeffs = binomial_difference_coefficients(k)
     n = round(alpha)
     if 1 <= n <= k - 1:
-        return math.fsum(coeffs[m] * m**n * math.expm1((alpha - n) * math.log(m))
-                         for m in range(1, k + 1))
-    return math.fsum(coeffs[m] * m**alpha for m in range(1, k + 1))
+        return [coeffs[m] * m**n * math.expm1((alpha - n) * math.log(m))
+                for m in range(1, k + 1)]
+    return [coeffs[m] * m**alpha for m in range(1, k + 1)]
+
+
+def power_difference_condition(k: int, alpha: float) -> float:
+    """Condition number ``sum |t_m| / |sum t_m|`` of the alternating power
+    sum over its terms t_m (:func:`power_difference_sum`): the factor by
+    which the sum, and with it :func:`moment_constant`, magnifies the
+    rounding of its terms."""
+    terms = _power_difference_terms(k, alpha)
+    return math.fsum(abs(t) for t in terms) / abs(math.fsum(terms))
 
 
 def _sin_half_pi(alpha: float) -> float:

@@ -85,6 +85,20 @@ class TestAbsoluteMoment:
             exact = cfo.stable_moment(2.0, alpha, d) * 0.7 ** (alpha / 2)
             assert abs(res.value - exact) <= res.error_estimate, alpha
 
+    def test_bar_carries_the_constant_rounding(self, monkeypatch):
+        from cfmoments.specfun import power_difference_condition
+
+        # an exact integral leaves only the constant's rounding in the bar:
+        # (4 kappa + 8) units of 2**-53, kappa the power sum's cancellation
+        monkeypatch.setattr(me, "_signed_integral", lambda phi, k, alpha, spec, part: (
+            complex(3.0 / me.moment_constant(k, alpha, 1)), 0.0, {"imag_residual": 0.0}))
+        g = cf.make_gaussian(0.7, 1)
+        for alpha, k in ((2.000001, 7), (4.0001, 7), (2.5, 3), (0.5, 1)):
+            res = me.absolute_moment(g, alpha, k=k)
+            kappa = power_difference_condition(k, alpha)
+            assert res.error_estimate == (4.0 * kappa + 8.0) * 2.0**-53 * res.value, alpha
+        assert power_difference_condition(7, 4.0001) > 1e4
+
     def test_guard_band_reroutes_complex_formula(self):
         g = cf.make_gaussian(1.0, 1)
         res = me.absolute_moment(g, 1.0 + 5e-7, k=2, formula="M12")
@@ -834,6 +848,142 @@ class TestRayTable:
         assert np.all(np.abs(got - direct) <= 1e-14 * w.sum() + 4.0 * floor)
 
 
+class TestPairTable:
+    """A d = 1 pair of atomic laws that would each get a ray table is read
+    from one table of their difference."""
+
+    @staticmethod
+    def _pairs():
+        rng = np.random.default_rng(17)
+        worst = TestRayTable._atom_sets()["worst-60"]
+        return {
+            "n100-n100": (cf.make_empirical(rng.normal(size=100)),
+                          cf.make_empirical(rng.normal(size=100))),
+            "n100-n300": (cf.make_empirical(rng.normal(size=100)),
+                          cf.make_empirical(rng.normal(0.2, 1.1, size=300))),
+            "n1000-worst60": (TestRayTable._atom_sets()["gaussian-n1000"], worst),
+        }
+
+    @staticmethod
+    def _width(phi, psi):
+        return 8.0 / max(np.abs(f.atoms.points).max() for f in (phi, psi))
+
+    @pytest.mark.parametrize("name", ["n100-n100", "n100-n300", "n1000-worst60"])
+    def test_matches_direct_evaluation(self, name):
+        phi, psi = self._pairs()[name]
+        counts = me._EvalCounts()
+        direct = (me._node_reader(c.minus_one, c.atoms.size, None, counts) for c in (phi, psi))
+        got = me._pair_table_reader(phi, psi, *direct, counts)(TestRayTable.S)
+        n = phi.atoms.size + psi.atoms.size
+        assert 0 < counts.kernel_evals < TestRayTable.S.size * n
+        direct = np.concatenate([phi.minus_one(c[:, None]) - psi.minus_one(c[:, None])
+                                 for c in np.split(TestRayTable.S, 7)])
+        # the floor of TestRayTable over the atoms of both laws
+        w = np.concatenate([phi.atoms.weights, psi.atoms.weights])
+        x = np.concatenate([phi.atoms.radii(), psi.atoms.radii()])
+        floor = 0.5 * np.finfo(float).eps * TestRayTable.S * (w * x).sum()
+        assert np.all(np.abs(got - direct) <= 1e-14 * w.sum() + 4.0 * floor)
+
+    def test_argument_orders_agree(self):
+        from cfmoments.metrics import integral_distance
+
+        phi, psi = self._pairs()["n100-n300"]
+        ab, ba = integral_distance(phi, psi, 0.5), integral_distance(psi, phi, 0.5)
+        assert ab.value == pytest.approx(ba.value, rel=1e-13)
+        assert ab.grid_report["n_panels"] == ba.grid_report["n_panels"]
+
+    def test_cost_counts_blocks_and_direct_points(self):
+        phi, psi = self._pairs()["n100-n300"]
+        profile = me.difference_profile(phi, psi, k=2, spec=QuadratureSpec(), part="complex",
+                                        magnitude=True)
+        width = self._width(phi, psi)
+        blocks = set()
+        n_direct = 0
+        for r in (np.geomspace(1e-6, 60.0, 500), np.linspace(0.0, 400.0, 801),
+                  np.array([0.25 * width]), np.linspace(100.0, 500.0, 33)):
+            profile.D(r)
+            for m in (1, 2):
+                s = m * r
+                blocks.update(np.floor(s[s >= width] / width).astype(int).tolist())
+                n_direct += int(np.count_nonzero(s < width))
+        # a block costs one complex exponential per atom of either law, and
+        # a radius below the first block one kernel per atom of each
+        assert blocks
+        assert profile.counts.kernel_evals == (len(blocks) + n_direct) * 400
+
+    @pytest.mark.parametrize("part", ["real", "complex"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_term_sums_equal_two_reader_route(self, k, part):
+        phi, psi = self._pairs()["n100-n300"]
+        profile = me.difference_profile(phi, psi, k=k, spec=QuadratureSpec(), part=part,
+                                        magnitude=True)
+        counts = me._EvalCounts()
+        two = me._mean_terms(me.binomial_difference_coefficients(k), me._ray_reader(phi, counts),
+                             me._ray_reader(psi, counts), None, part, True)
+        # the radii of the origin head and its noise probe, below the first
+        # block at every m
+        r = np.geomspace(1e-9, 0.99 * self._width(phi, psi) / k, 60)
+        D, terms = profile.evaluate(r, True)
+        ref, ref_terms = two(r, True)
+        assert np.array_equal(terms, ref_terms)
+        assert np.array_equal(D, ref)
+        assert np.array_equal(profile.D(r), ref)
+
+    def test_second_read_builds_nothing(self):
+        import dataclasses
+
+        calls = []
+
+        def counted(phi):
+            def minus_one(pts):
+                calls.append(pts.shape[0])
+                return phi.minus_one(pts)
+            return dataclasses.replace(phi, minus_one=minus_one)
+
+        phi, psi = (counted(f) for f in self._pairs()["n100-n300"])
+        profile = me.difference_profile(phi, psi, k=1, spec=QuadratureSpec(), part="complex",
+                                        magnitude=True)
+        r = np.linspace(40.0, 300.0, 3000)
+        first = profile.D(r)
+        built = profile.counts.kernel_evals
+        assert built > 0 and built % 400 == 0
+        assert calls == []
+        assert np.array_equal(profile.D(r), first)
+        assert profile.counts.kernel_evals == built
+        assert calls == []
+
+
+class TestFactorCharge:
+    """A factor is charged one kernel evaluation per atom of its normal
+    form, a radial x atomic form included."""
+
+    SPEC = QuadratureSpec(sphere_order=8)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_form_against_point_mass(self, d):
+        from cfmoments.heat import evolve
+
+        rng = np.random.default_rng(60 + d)
+        flow = evolve(cf.make_empirical(rng.normal(size=(20, d))), 2.0, 0.5)
+        point = cf.make_point_mass(np.full(d, 0.3))
+        profile = me.difference_profile(flow, point, k=1, spec=self.SPEC, part="complex",
+                                        magnitude=True)
+        r = np.geomspace(1e-3, 40.0, 37)
+        profile.D(r)
+        nodes = 1 if d == 1 else self.SPEC.sphere_order
+        assert profile.counts.kernel_evals == profile.counts.points * nodes * (20 + 1)
+
+    def test_form_on_the_ray_is_read_directly(self):
+        from cfmoments.heat import evolve
+
+        # more atoms than a table takes, but a form: evaluated directly
+        flow = evolve(cf.make_empirical(np.random.default_rng(63).normal(size=60)), 2.0, 0.5)
+        counts = me._EvalCounts()
+        s = np.linspace(0.0, 300.0, 70)
+        assert np.array_equal(me._ray_reader(flow, counts)(s), flow.minus_one(s[:, None]))
+        assert counts.kernel_evals == s.size * 60
+
+
 class TestEvaluatorCounts:
     def test_atomic_moment(self):
         import dataclasses
@@ -993,7 +1143,7 @@ class TestSharedAtomPair:
         def read(chi):
             if nodes is None:
                 return me._ray_reader(chi, counts)
-            return me._node_reader(chi.minus_one, me._factor_cost(chi), nodes, counts)
+            return me._node_reader(chi.minus_one, me._evaluated_atoms(chi), nodes, counts)
 
         read_phi, read_psi = read(phi), read(psi)
         hand = me._mean_terms(me.binomial_difference_coefficients(k),
@@ -1215,7 +1365,7 @@ class TestNodeBatches:
             seen.append(pts.shape[0])
             return flow.minus_one(pts)
 
-        # the recorder keeps the flow's form: ten atoms, though charged one
+        # the recorder keeps the flow's form: ten atoms, charged ten
         phi = dataclasses.replace(flow, minus_one=record)
 
         def profile():

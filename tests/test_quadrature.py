@@ -310,6 +310,26 @@ class TestChebyshevBlocks:
         ref = np.exp(-1j * np.outer(s, x)) @ w - 1.0
         assert np.max(np.abs(got - ref)) <= 1e-13
 
+    def test_clenshaw_sum(self):
+        from cfmoments.quadrature import ChebyshevBlocks
+
+        table = ChebyshevBlocks(None, [-1.0], [1.0])
+        # more points than one chunk, over blocks 1..1249, in scrambled order
+        s = np.random.default_rng(9).uniform(8.0, 10000.0, 3 * table._CHUNK + 17)
+        got = table(s)
+        assert table.blocks_built == len(np.unique(np.floor(s / 8.0)))
+        assert np.max(np.abs(got - (np.exp(-1j * s) - 1.0))) <= 1e-13
+
+    def test_difference_of_two_sums(self):
+        from cfmoments.quadrature import ChebyshevBlocks
+
+        # one table of exp(-i s) - exp(-0.5 i s): the atoms of both, the
+        # second's weight negated, so the sum of the amplitudes is zero
+        table = ChebyshevBlocks(None, [-1.0, -0.5], [1.0, -1.0])
+        s = np.linspace(8.0, 2000.0, 5000)
+        ref = np.exp(-1j * s) - np.exp(-0.5j * s)
+        assert np.max(np.abs(table(s) - ref)) <= 1e-13
+
     def test_rejects_nonpositive_type(self):
         from cfmoments.quadrature import ChebyshevBlocks
 

@@ -144,6 +144,37 @@ class TestConstants:
                 got = sf.moment_constant(k, n + delta, d)
                 assert abs(got - ref) <= 1e-13 * abs(ref), (k, n + delta, float(abs(got / ref - 1)))
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_moment_constant_within_its_rounding_bar(self, d):
+        # the bar that absolute_moment adds for the constant: (4 kappa + 8)
+        # units of 2**-53, kappa the power sum's cancellation over its terms
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        for k in (3, 5, 7):
+            for n in (2, 4, 6):
+                for delta in (-1e-2, -1e-4, -1e-6, 1e-6, 1e-4, 1e-2):
+                    alpha = n + delta
+                    a = mpmath.mpf(alpha)
+                    s = sum(math.comb(k, m) * (-1) ** (k - m) * mpmath.mpf(m) ** a
+                            for m in range(1, k + 1))
+                    ref = -(mpmath.sin(a * mpmath.pi / 2) * mpmath.gamma(a + 1)
+                            * mpmath.gamma((a + d) / 2)
+                            / (mpmath.pi ** (mpmath.mpf(d + 1) / 2) * s
+                               * mpmath.gamma((a + 1) / 2)))
+                    kappa = sf.power_difference_condition(k, alpha)
+                    bar = (4.0 * kappa + 8.0) * 2.0**-53 * abs(float(ref))
+                    err = float(abs(sf.moment_constant(k, alpha, d) - ref))
+                    assert err <= bar, (k, alpha, err / bar)
+
+    def test_power_difference_condition(self):
+        # positive terms cancel nothing; near an interior integer they do
+        assert sf.power_difference_condition(1, 0.5) == 1.0
+        assert sf.power_difference_condition(7, 4.0001) > 1e4
+        for k, alpha in ((3, 2.5), (7, 2.000001), (5, 6.01)):
+            terms = [math.comb(k, m) * (-1) ** (k - m) * m**alpha for m in range(1, k + 1)]
+            assert sf.power_difference_condition(k, alpha) >= 1.0
+            assert sf.power_difference_sum(k, alpha) == pytest.approx(math.fsum(terms), rel=1e-6)
+
     def test_reciprocal_pair(self):
         assert sf.difference_integral_constant(1, 1.0, 1) == pytest.approx(-math.pi, rel=1e-14)
         rec = sf.difference_integral_constant(1, 0.5, 1)
