@@ -41,6 +41,10 @@ integration-by-parts asymptotics of the atoms' kernels (one bridge grid
 shared by every atom, read at each atom's lower limit), the |D| window
 mean for atom pairs, a stabilized window around a known or estimated
 limit, or the exact Fourier series of |sin| for a pair of single atoms.
+Each strategy states the radius from which it may take over, and the mid
+panels end there, or at 64 times the origin cut if that is farther: the
+exact atomic tail of a signed atomic pass at ``r_split``, every other tail
+at ``8 r_split``, from where a bounded tail may push them farther out.
 Each pass reports its cost with its diagnostics: the radii at which D was
 evaluated (``points``) and the kernel evaluations behind them
 (``kernel_evals``: one per atom of the factor's normal form, or one for
@@ -300,10 +304,13 @@ def _kernel_tail(kernel, y, alpha):
 
 # Tail strategies.  Beyond the radius R where the mid panels stop,
 # ``int_R^inf r**(-1-alpha) D(r) dr`` splits into the limit of D, which
-# integrates in closed form, and a remainder.  ``bound`` is the remainder's
-# size at R, which drives the extension of the mid panels; ``close`` returns
-# (constant part, remainder, remainder error).  A strategy whose remainder
-# is evaluated rather than bounded reports a zero bound, so R never moves.
+# integrates in closed form, and a remainder.  ``start`` is the least R at
+# which the strategy may take over: 8 r_split, except for the exact atomic
+# tail, which holds from any radius and starts at r_split.  ``bound`` is the
+# remainder's size at R, which drives the extension of the mid panels;
+# ``close`` returns (constant part, remainder, remainder error).  A strategy
+# whose remainder is evaluated rather than bounded reports a zero bound, so
+# R never moves.
 
 
 @dataclass(frozen=True)
@@ -313,6 +320,9 @@ class EnvelopeTail:
     limit: float
     coeffs: np.ndarray
     envelopes: tuple
+
+    def start(self, spec):
+        return 8.0 * spec.r_split
 
     def bound(self, profile, alpha, R):
         total = 0.0
@@ -337,6 +347,11 @@ class AtomicTail:
     weights: np.ndarray
     kernel: str
 
+    def start(self, spec):
+        # the per-atom tails are exact from any radius; their cancellation
+        # against the constant part grows only like R**-alpha as R falls
+        return spec.r_split
+
     def bound(self, profile, alpha, R):
         return 0.0
 
@@ -355,6 +370,9 @@ class StabilizedTail:
     window; a ``limit`` of None is estimated as the mean of a farther one."""
 
     limit: float | None
+
+    def start(self, spec):
+        return 8.0 * spec.r_split
 
     def _limit(self, profile, R):
         if self.limit is not None:
@@ -393,6 +411,10 @@ class SinSeriesTail:
 
     c: float
     amp: float = 1.0
+
+    def start(self, spec):
+        # the truncation of the 64-term series grows like (c R)**-1 R**-alpha
+        return 8.0 * spec.r_split
 
     def bound(self, profile, alpha, R):
         return 0.0
@@ -982,13 +1004,13 @@ def _difference_integral(profile: DifferenceProfile, alpha: float,
         return math.nan, math.inf, {"origin_slope": slope, "diverged": True, **cost()}
 
     integrand = profile.integrand(alpha)
-    r_mid = max(8.0 * spec.r_split, 64.0 * a)
+    tail = profile.tail
+    r_mid = max(tail.start(spec), 64.0 * a)
     bp = oscillatory_breakpoints(a, r_mid, profile.freq, per_octave=3)
     mid_val, mid_err, n_panels, converged = adaptive_panel_integral(
         integrand, bp, spec.rel_tol, spec.abs_tol, spec.max_panels
     )
 
-    tail = profile.tail
     R = r_mid
     scale = abs(head_val) + abs(mid_val) + spec.abs_tol
     increments = []

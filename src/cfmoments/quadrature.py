@@ -86,8 +86,11 @@ _WG_FULL[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])  # Gauss nodes at odd s
 class QuadratureSpec:
     """Tolerances and budgets for the difference integrals.
 
-    ``r_split`` separates the near-origin panel plan from the outer one and
-    ``origin_cut`` is the matching point of the analytic origin model.
+    ``r_split`` sets where the mid panels of a difference integral end and
+    its tail takes over: at ``r_split`` for the exact atomic tail of a
+    signed atomic pass, at ``8 r_split`` for every other tail (or at 64
+    times the origin cut, if that is farther).  ``origin_cut`` is the
+    matching point of the analytic origin model.
     """
 
     rel_tol: float = 1e-9
