@@ -23,8 +23,10 @@ at the nodes +1 and -1.  A pair of transforms that share their atoms,
 each a radial x atomic product ``(1 + g) (1 + A)`` or the atomic law
 itself (g = 0), such as a heat flow and its datum, is one factor
 ``(g_phi - g_psi) (1 + A)``: the atoms are read once, and the radial
-difference at each radius.  Along the ray, an atomic law with more than
-48 atoms is read from lazily built Chebyshev blocks
+difference at each radius.  Along the ray, each factor takes the reader
+that charges less: an atomic law with more atoms than one Clenshaw read
+costs (``ChebyshevBlocks.READ_COST``, six kernel evaluations) is read from
+lazily built Chebyshev blocks
 (:class:`~cfmoments.quadrature.ChebyshevBlocks`), summed by Clenshaw's
 recurrence, that the profile keeps for its lifetime, each built from the
 law's atoms at one complex exponential per atom; a pair of two such laws
@@ -49,7 +51,8 @@ Each pass reports its cost with its diagnostics: the radii at which D was
 evaluated (``points``) and the kernel evaluations behind them
 (``kernel_evals``: one per atom of the factor's normal form, or one for
 a formula, and point evaluated directly, one per atom and built Chebyshev
-block, the atoms of both laws for a pair's table, one per radius for the
+block, the atoms of both laws for a pair's table, ``READ_COST`` per value
+read from built blocks, one per radius for the
 radial factor of a shared-atom pair, and one per atomic kernel sum read
 from its series, whose moments cost one per atom when the profile is
 built).
@@ -106,8 +109,6 @@ __all__ = [
 _INT_TOL = 1e-9
 _GUARD_BAND = 1e-6
 _SLOPE_MARGIN = 1e-3
-# a d = 1 ray reads a factor with more atoms than this from Chebyshev blocks
-_TABLE_ATOMS = 48
 # radius x node x atom products per read of a sphere-rule mean (32 MiB a float array)
 _NODE_BATCH = 2**22
 
@@ -434,13 +435,14 @@ class _EvalCounts:
     """Evaluator cost of a profile: radii at which D was evaluated, and
     kernel evaluations.  Each factor reader charges its own: one per point
     of a radial profile, one per atom of the factor's normal form (one for
-    a formula) and point or sphere node evaluated directly, and one per
-    atom for each Chebyshev block of a ray table, the atoms of both laws
-    for a pair's table (one complex exponential per atom builds a
-    block).  The atomic reduction charges one per atom for the even
-    moments of its series, once, when it is built; then, per m and radius,
-    one for a kernel sum read from the series or one per atom off the
-    origin for a sum taken directly, and one more for a radial factor."""
+    a formula) and point or sphere node evaluated directly, one per atom
+    for each Chebyshev block of a ray table, the atoms of both laws for a
+    pair's table (one complex exponential per atom builds a block), and
+    ``ChebyshevBlocks.READ_COST`` per value read from built blocks.  The
+    atomic reduction charges one per atom for the even moments of its
+    series, once, when it is built; then, per m and radius, one for a
+    kernel sum read from the series or one per atom off the origin for a
+    sum taken directly, and one more for a radial factor."""
 
     points: int = 0
     kernel_evals: int = 0
@@ -595,7 +597,8 @@ def _evaluated_atoms(phi: CharFn) -> int:
     atoms are read once and the radial difference is charged apart
     (:func:`_shared_reader`).  The same count is the cost of one Chebyshev
     block of an atomic law's ray table, which spends one complex
-    exponential per atom.
+    exponential per atom, and the cost per point of a direct read, which
+    :func:`_table_atoms` weighs against a read from blocks.
     """
     form = normal_form(phi)
     return 1 if form is None or form[1] is None else form[1].size
@@ -617,21 +620,26 @@ def _node_reader(fn, cost, nodes, counts):
 
 def _table_atoms(phi: CharFn):
     """The atoms of a d = 1 factor read from Chebyshev blocks: those of an
-    atomic law with more than ``_TABLE_ATOMS`` atoms, not all at the
-    origin; None for any other factor, a radial x atomic form included."""
+    atomic law whose direct read, one kernel per atom, costs more than a
+    read from blocks (``ChebyshevBlocks.READ_COST``), not all at the
+    origin; None for any other factor, a radial x atomic form included.
+    The blocks' builds need no share in the choice (see
+    :class:`~cfmoments.quadrature.ChebyshevBlocks`)."""
     atoms = phi.atoms
-    if atoms is None or atoms.size <= _TABLE_ATOMS or not np.any(atoms.points):
+    if atoms is None or atoms.size <= ChebyshevBlocks.READ_COST or not np.any(atoms.points):
         return None
     return atoms
 
 
 def _table_reader(table, cost, counts):
     """Reader of the Chebyshev blocks ``table``, charged ``cost`` for each
-    block built; the table's direct reader charges its own points."""
+    block built and ``READ_COST`` for each value read from blocks; the
+    table's direct reader charges its own points."""
     def read(s):
-        before = table.blocks_built
+        before = (table.blocks_built, table.values_read)
         vals = table(s)
-        counts.kernel_evals += (table.blocks_built - before) * cost
+        counts.kernel_evals += ((table.blocks_built - before[0]) * cost
+                                + (table.values_read - before[1]) * table.READ_COST)
         return vals
     return read
 
@@ -639,14 +647,16 @@ def _table_reader(table, cost, counts):
 def _ray_reader(phi: CharFn, counts):
     """``phi(s) - 1`` along the positive axis of d = 1, for s >= 0.
 
-    An atomic law with more than ``_TABLE_ATOMS`` atoms is the plane-wave
-    sum ``sum_j w_j (exp(-i x_j s) - 1)``, entire of exponential type tau =
-    max |x_j|, so it is read from Chebyshev blocks built from its atoms as
-    queries land and kept for the reader's lifetime.  The reader charges
-    its own cost: ``_evaluated_atoms`` for each point evaluated directly
-    (every point of any other factor, and each radius below the first
-    block, where the origin descent and its noise probe live) and for each
-    block built.  Atoms all at the origin (tau = 0) give a constant, read
+    An atomic law is the plane-wave sum ``sum_j w_j (exp(-i x_j s) - 1)``,
+    entire of exponential type tau = max |x_j|.  With more atoms than
+    ``ChebyshevBlocks.READ_COST``, the charge of one read from blocks, it
+    is read from Chebyshev blocks built from its atoms as queries land and
+    kept for the reader's lifetime (:func:`_table_atoms`).  The reader
+    charges its own cost: ``_evaluated_atoms`` for each point evaluated
+    directly (every point of any other factor, and each radius below the
+    first block, where the origin descent and its noise probe live) and
+    for each block built, and ``READ_COST`` for each value read from
+    blocks.  Atoms all at the origin (tau = 0) give a constant, read
     directly.
     """
     direct = _node_reader(phi.minus_one, _evaluated_atoms(phi), None, counts)
@@ -666,7 +676,8 @@ def _pair_table_reader(phi: CharFn, psi: CharFn, read_phi, read_psi, counts):
     ``read_phi`` and ``read_psi`` are the laws' direct readers, which the
     table calls below its first block and which charge their own points.
     A block costs one complex exponential per atom of either law,
-    ``n_phi + n_psi`` kernel evaluations.
+    ``n_phi + n_psi`` kernel evaluations, and a read of the difference
+    from the blocks ``READ_COST``.
     """
     a, b = phi.atoms, psi.atoms
     table = ChebyshevBlocks(lambda s: read_phi(s) - read_psi(s),

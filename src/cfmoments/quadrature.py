@@ -436,7 +436,8 @@ class ChebyshevBlocks:
     column.  Each point gathers its block's column once and sums it by
     Clenshaw's recurrence in its local coordinate.  Arguments below
     ``width`` (the first block) go to ``f`` directly.  ``blocks_built``
-    counts the blocks built so far.
+    counts the blocks built so far, and ``values_read`` the arguments
+    read from blocks.
 
     The kept offsets factor holds ``DEGREE + 1`` complex numbers per term,
     whatever is queried: 40 MB for 1e5 atoms, and 400 MB for the 1e6
@@ -449,9 +450,24 @@ class ChebyshevBlocks:
     is accurate to rounding: about 5e-15 of the sum of the amplitudes
     (measured on ``exp(-i s) - 1``), beyond the rounding of the phases
     ``freqs_n s`` that direct evaluation shares.
+
+    ``READ_COST`` is the cost of one read from built blocks in kernel
+    evaluations, the unit in which a direct read of an n-term sum costs n,
+    so blocks pay for sums of more than ``READ_COST`` terms.  Measured on
+    a 2-core Intel Xeon with one BLAS thread, a direct read took 30-50 ns
+    per term and point, and a Clenshaw read 250-280 ns per point, flat in
+    the number of terms; whole membership passes ran 1.2-1.3 times as long
+    from blocks as directly at five atoms, and 0.8-0.9 times at six.
+    Building a block costs one complex exponential per term, n, and needs
+    no share in that rule: panels of a difference integral are at most
+    half a wave of its frequency ``k tau`` wide, with 15 Kronrod nodes
+    each, so at every ``s = m r`` with m <= k a block of width ``8 / tau``
+    holds at least ``8 / pi`` panels, about 38 points, and adds at most
+    n/38 per point.
     """
 
     DEGREE = 24
+    READ_COST = 6
     _HALF_PHASE = 4.0
     _CHUNK = 4096
     _BUDGET = 1 << 20  # terms times blocks in one build batch
@@ -474,6 +490,7 @@ class ChebyshevBlocks:
         nodes = 0.5 * (1.0 + np.cos(math.pi * k / n))
         self._left = dct @ np.exp(1j * np.outer(self.width * nodes, self._freqs))
         self.blocks_built = 0
+        self.values_read = 0
         # block index -> column of its coefficients, -1 while not built; the
         # map grows to the farthest block queried, the store doubles when full
         self._column = np.full(16, -1, dtype=np.intp)
@@ -521,6 +538,7 @@ class ChebyshevBlocks:
             out[direct] = self.f(s[direct])
         tabled = ~direct
         block = block[tabled]
+        self.values_read += block.size
         top = int(block.max())
         if top >= self._column.size:
             reach = np.full(max(top + 1, 2 * self._column.size), -1, dtype=np.intp)

@@ -11,6 +11,7 @@ from cfmoments import closed_forms as cfo
 from cfmoments import moment_engine as me
 from cfmoments.errors import DivergenceSuspectedError, DomainError
 from cfmoments.quadrature import (
+    ChebyshevBlocks,
     QuadratureSpec,
     adaptive_panel_integral,
     oscillatory_breakpoints,
@@ -765,16 +766,30 @@ def _two_node_D(coeffs, phi, psi, r, part, magnitude):
     return me._reduce_part(acc, part, False)
 
 
+def _table_floor(laws, s):
+    """The floor of :class:`TestRayTable` at the arguments s, over the
+    atoms of ``laws``: 1e-14 of the summed weights beyond four times the
+    rounding of the phases ``s x_j``."""
+    w = np.abs(np.concatenate([f.atoms.weights for f in laws]))
+    x = np.concatenate([f.atoms.radii() for f in laws])
+    return 1e-14 * w.sum() + 2.0 * np.finfo(float).eps * s * (w * x).sum()
+
+
+def _profile_floor(coeffs, laws, r):
+    """That floor carried through ``sum_m c_m (phi - psi)(m r)``."""
+    return sum(abs(coeffs[m]) * _table_floor(laws, m * r) for m in range(1, coeffs.size))
+
+
 class TestOneRayFold:
     R = np.concatenate([np.geomspace(1e-5, 200.0, 397), [1.0, 2.0, 3.5]])
 
-    def _profiles(self):
+    def _profiles(self, n_a, n_b):
         from cfmoments.heat import evolve
 
         rng = np.random.default_rng(11)
         e50 = cf.make_empirical(rng.normal(size=50))
-        a = cf.make_empirical(rng.normal(size=40))
-        b = cf.make_empirical(rng.normal(0.3, 1.2, size=30))
+        a = cf.make_empirical(rng.normal(size=n_a))
+        b = cf.make_empirical(rng.normal(0.3, 1.2, size=n_b))
         return {
             "signed-evolve": (evolve(e50, 1.5, 0.5), None, 1, "real", False),
             "magnitude-pair": (a, b, 1, "complex", True),
@@ -783,7 +798,10 @@ class TestOneRayFold:
 
     @pytest.mark.parametrize("name", ["signed-evolve", "magnitude-pair", "membership-k2"])
     def test_equals_two_node_rule(self, name):
-        phi, psi, k, part, magnitude = self._profiles()[name]
+        # laws read directly, at no more atoms than a read from blocks costs
+        n = ChebyshevBlocks.READ_COST
+        phi, psi, k, part, magnitude = self._profiles(n, n - 1)[name]
+        assert me._table_atoms(phi) is None
         spec = QuadratureSpec()
         profile = me.difference_profile(phi, psi, k=k, spec=spec, part=part, magnitude=magnitude)
         coeffs = me.binomial_difference_coefficients(k)
@@ -791,6 +809,19 @@ class TestOneRayFold:
         got = profile.D(self.R)
         assert got.dtype == ref.dtype
         assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("name", ["magnitude-pair", "membership-k2"])
+    def test_table_laws_match_two_node_rule(self, name):
+        phi, psi, k, part, magnitude = self._profiles(40, 30)[name]
+        laws = [f for f in (phi, psi) if f is not None]
+        assert all(me._table_atoms(f) is not None for f in laws)
+        profile = me.difference_profile(phi, psi, k=k, spec=QuadratureSpec(), part=part,
+                                        magnitude=magnitude)
+        coeffs = me.binomial_difference_coefficients(k)
+        ref = _two_node_D(coeffs, phi, psi, self.R, part, magnitude)
+        got = profile.D(self.R)
+        assert got.dtype == ref.dtype
+        assert np.all(np.abs(got - ref) <= _profile_floor(coeffs, laws, self.R))
 
     def test_second_evaluation_reuses_blocks(self):
         import dataclasses
@@ -815,8 +846,9 @@ class TestOneRayFold:
         built = profile.counts.kernel_evals
         assert built > 0
         assert calls == []
+        # the second evaluation only reads the built blocks
         assert np.array_equal(profile.D(r), first)
-        assert profile.counts.kernel_evals == built
+        assert profile.counts.kernel_evals == built + r.size * ChebyshevBlocks.READ_COST
         assert calls == []
 
     def test_table_cost_counts_blocks_and_direct_points(self):
@@ -826,29 +858,37 @@ class TestOneRayFold:
                                   "complex", True)
         width = 8.0 / np.abs(phi.atoms.points).max()
         blocks = set()
-        n_direct = 0
+        n_direct = n_read = 0
         for s in (np.geomspace(1e-6, 60.0, 500), np.linspace(0.0, 400.0, 801),
                   np.array([0.5 * width]), np.linspace(100.0, 500.0, 33)):
             evaluate(s, False)
             blocks.update(np.floor(s[s >= width] / width).astype(int).tolist())
             n_direct += int(np.count_nonzero(s < width))
-        # one complex exponential per atom builds a block, and a radius
-        # below the first block costs one kernel per atom
+            n_read += int(np.count_nonzero(s >= width))
+        # one complex exponential per atom builds a block, a radius below
+        # the first block costs one kernel per atom, and a read from the
+        # blocks READ_COST
         assert blocks
-        assert counts.kernel_evals == (len(blocks) + n_direct) * 100
+        assert counts.kernel_evals == ((len(blocks) + n_direct) * 100
+                                       + n_read * ChebyshevBlocks.READ_COST)
 
-    def test_lacunary_12_stays_direct(self):
+    def test_lacunary_12_reads_blocks(self):
         lac = cf.make_discrete(cf.lacunary_measure(1.0, 12))
-        # far radii too are evaluated directly, one kernel per atom and point
+        # far radii are read from blocks, one complex exponential per atom
+        # and block built and READ_COST per value
         counts = me._EvalCounts()
         s = np.linspace(100.0, 400.0, 50)
-        assert np.array_equal(me._ray_reader(lac, counts)(s), lac.minus_one(s[:, None]))
-        assert counts.kernel_evals == s.size * 12
+        width = 8.0 / np.abs(lac.atoms.points).max()
+        blocks = np.unique(np.floor(s / width))
+        assert blocks.min() >= 1
+        got = me._ray_reader(lac, counts)(s)
+        assert np.all(np.abs(got - lac.minus_one(s[:, None])) <= _table_floor([lac], s))
+        assert counts.kernel_evals == blocks.size * 12 + s.size * ChebyshevBlocks.READ_COST
         profile = me.difference_profile(lac, k=2, spec=QuadratureSpec(), part="complex",
                                         magnitude=True)
         coeffs = me.binomial_difference_coefficients(2)
         ref = _two_node_D(coeffs, lac, None, self.R, "complex", True)
-        assert np.array_equal(profile.D(self.R), ref)
+        assert np.all(np.abs(profile.D(self.R) - ref) <= _profile_floor(coeffs, [lac], self.R))
 
     def test_atoms_all_at_origin(self):
         # sixty samples at 0 are a radial law with tau = 0; against a
@@ -967,7 +1007,7 @@ class TestPairTable:
                                         magnitude=True)
         width = self._width(phi, psi)
         blocks = set()
-        n_direct = 0
+        n_direct = n_read = 0
         for r in (np.geomspace(1e-6, 60.0, 500), np.linspace(0.0, 400.0, 801),
                   np.array([0.25 * width]), np.linspace(100.0, 500.0, 33)):
             profile.D(r)
@@ -975,10 +1015,13 @@ class TestPairTable:
                 s = m * r
                 blocks.update(np.floor(s[s >= width] / width).astype(int).tolist())
                 n_direct += int(np.count_nonzero(s < width))
-        # a block costs one complex exponential per atom of either law, and
-        # a radius below the first block one kernel per atom of each
+                n_read += int(np.count_nonzero(s >= width))
+        # a block costs one complex exponential per atom of either law, a
+        # radius below the first block one kernel per atom of each, and a
+        # read of the difference from the blocks READ_COST
         assert blocks
-        assert profile.counts.kernel_evals == (len(blocks) + n_direct) * 400
+        assert profile.counts.kernel_evals == ((len(blocks) + n_direct) * 400
+                                               + n_read * ChebyshevBlocks.READ_COST)
 
     @pytest.mark.parametrize("part", ["real", "complex"])
     @pytest.mark.parametrize("k", [1, 2])
@@ -1013,13 +1056,141 @@ class TestPairTable:
         profile = me.difference_profile(phi, psi, k=1, spec=QuadratureSpec(), part="complex",
                                         magnitude=True)
         r = np.linspace(40.0, 300.0, 3000)
+        reads = r.size * ChebyshevBlocks.READ_COST
         first = profile.D(r)
         built = profile.counts.kernel_evals
-        assert built > 0 and built % 400 == 0
+        assert built > reads and (built - reads) % 400 == 0
         assert calls == []
         assert np.array_equal(profile.D(r), first)
-        assert profile.counts.kernel_evals == built
+        assert profile.counts.kernel_evals == built + reads
         assert calls == []
+
+
+class TestReaderCost:
+    """The d = 1 ray reads an atomic law from Chebyshev blocks exactly when
+    that charges less than reading it directly, at one kernel evaluation
+    per atom and point: with more than ``ChebyshevBlocks.READ_COST``
+    atoms."""
+
+    READ = ChebyshevBlocks.READ_COST
+
+    @staticmethod
+    def _law(n):
+        return cf.make_empirical(np.random.default_rng(70 + n).normal(size=n))
+
+    @staticmethod
+    def _blocks(law, s):
+        """The blocks that the arguments s land in, and how many of s are
+        read from them."""
+        width = 8.0 / np.abs(law.atoms.points).max()
+        read = s[s >= width]
+        return np.unique(np.floor(read / width)).size, read.size
+
+    def test_threshold(self):
+        s = np.linspace(0.0, 300.0, 70)
+        n = self.READ
+        law = self._law(n)
+        counts = me._EvalCounts()
+        assert me._table_atoms(law) is None
+        assert np.array_equal(me._ray_reader(law, counts)(s), law.minus_one(s[:, None]))
+        assert counts.kernel_evals == s.size * n
+        law = self._law(n + 1)
+        counts = me._EvalCounts()
+        assert me._table_atoms(law) is law.atoms
+        got = me._ray_reader(law, counts)(s)
+        assert np.all(np.abs(got - law.minus_one(s[:, None])) <= _table_floor([law], s))
+        blocks, read = self._blocks(law, s)
+        assert 0 < read < s.size
+        assert counts.kernel_evals == (blocks + s.size - read) * (n + 1) + read * self.READ
+
+    def test_second_read_adds_read_cost_only(self):
+        import dataclasses
+
+        calls = []
+        law = self._law(self.READ + 1)
+
+        def minus_one(pts):
+            calls.append(pts.shape[0])
+            return law.minus_one(pts)
+
+        counts = me._EvalCounts()
+        read = me._ray_reader(dataclasses.replace(law, minus_one=minus_one), counts)
+        s = np.linspace(40.0, 300.0, 500)
+        first = read(s)
+        built = counts.kernel_evals
+        assert built == self._blocks(law, s)[0] * law.atoms.size + s.size * self.READ
+        assert np.array_equal(read(s), first)
+        assert counts.kernel_evals == built + s.size * self.READ
+        assert calls == []
+
+    @staticmethod
+    def _membership_radii(law):
+        """The radii of a k = 2 membership magnitude pass over ``law``, in
+        its batches, with the flag asking for the terms' magnitudes."""
+        import dataclasses
+
+        spec = QuadratureSpec()
+        profile = me.difference_profile(law, k=2, spec=spec, part="complex", magnitude=True)
+        seen = []
+
+        def evaluate(r, with_magnitude):
+            seen.append((r.copy(), with_magnitude))
+            return profile.evaluate(r, with_magnitude)
+
+        dataclasses.replace(profile, evaluate=evaluate).integrate(1.5, spec, slope_margin=0.05)
+        return seen
+
+    @staticmethod
+    def _charge(law, seen):
+        profile = me.difference_profile(law, k=2, spec=QuadratureSpec(), part="complex",
+                                        magnitude=True)
+        for r, with_magnitude in seen:
+            profile.evaluate(r, with_magnitude)
+        return profile.counts.kernel_evals
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 7, 12, 20, 48])
+    def test_chosen_route_charges_least(self, n, monkeypatch):
+        law = self._law(n)
+        seen = self._membership_radii(law)
+        chosen = self._charge(law, seen)
+        tabled = n > self.READ
+        assert (me._table_atoms(law) is not None) == tabled
+        if tabled:
+            monkeypatch.setattr(ChebyshevBlocks, "READ_COST", n)
+            assert me._table_atoms(law) is None
+            other = self._charge(law, seen)
+        else:
+            # the blocks' charge at READ_COST 0 and 1 gives the number of
+            # values read, to be charged at the real READ_COST
+            monkeypatch.setattr(ChebyshevBlocks, "READ_COST", 0)
+            assert me._table_atoms(law) is not None
+            free = self._charge(law, seen)
+            monkeypatch.setattr(ChebyshevBlocks, "READ_COST", 1)
+            reads = self._charge(law, seen) - free
+            assert reads > 0
+            other = free + reads * self.READ
+        assert chosen <= other
+
+    def test_lacunary_12_membership_agrees(self, monkeypatch):
+        from cfmoments.metrics import membership
+
+        lac = cf.make_discrete(cf.lacunary_measure(1.0, 12))
+        table = membership(lac, 1.5, 2)
+        monkeypatch.setattr(ChebyshevBlocks, "READ_COST", 12)
+        direct = membership(lac, 1.5, 2)
+        assert table.classification == direct.classification == "finite"
+        assert table.integral_value == pytest.approx(direct.integral_value, rel=1e-12)
+
+    def test_small_time_check_agrees(self, monkeypatch):
+        from cfmoments import mc_oracle
+        from cfmoments.heat import small_time_check
+
+        e20 = cf.make_empirical(mc_oracle.sample_gaussian(0.5, 1, 20, 41).points)
+        table = small_time_check(e20, 2.0, 0.01, 0.5)
+        monkeypatch.setattr(ChebyshevBlocks, "READ_COST", 20)
+        direct = small_time_check(e20, 2.0, 0.01, 0.5)
+        assert table[0] == pytest.approx(direct[0], rel=1e-12)
+        assert table[1] == direct[1]
 
 
 class TestFactorCharge:
@@ -1265,12 +1436,28 @@ class TestSharedAtomPair:
             profile = me.difference_profile(counted(phi), counted(psi), k=k, spec=self.SPEC,
                                             part="complex", magnitude=True)
             profile.D(self.R)
-            # a plain datum is read once per m, at every radius and node
+            if d > 1:
+                # a plain datum is read once per m, at every radius and node
+                if psi.radial_atomic is None:
+                    assert calls == [self.R.size * nodes] * k
+                # one kernel per atom and node for A, one per radius for g
+                assert profile.counts.kernel_evals == self.R.size * k * (self.N_ATOMS * nodes + 1)
+                continue
+            # on the d = 1 ray A is read from blocks, which a datum's own
+            # minus_one serves only below the first block: n per block
+            # built and per radius below it, READ_COST per value read from
+            # the blocks, and one per radius for g
+            atoms = cf.normal_form(psi)[1]
+            assert me._table_atoms(cf.make_discrete(atoms)) is atoms
+            width = 8.0 / np.abs(atoms.points).max()
+            s = np.outer(np.arange(1, k + 1), self.R)
+            below = np.count_nonzero(s < width, axis=1)
             if psi.radial_atomic is None:
-                assert calls == [self.R.size * nodes] * k
-            # one kernel per atom and node for A, one per radius for g:
-            # n + 1 per point and m on the d = 1 ray
-            assert profile.counts.kernel_evals == self.R.size * k * (self.N_ATOMS * nodes + 1)
+                assert calls == [int(b) for b in below if b]
+            blocks = np.unique(np.floor(s[s >= width] / width)).size
+            assert profile.counts.kernel_evals == (
+                (blocks + below.sum()) * self.N_ATOMS
+                + (s.size - below.sum()) * ChebyshevBlocks.READ_COST + s.size)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_one_atom_pair_is_translation_invariant(self, d):
