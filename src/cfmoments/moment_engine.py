@@ -23,14 +23,15 @@ at the nodes +1 and -1.  A pair of transforms that share their atoms,
 each a radial x atomic product ``(1 + g) (1 + A)`` or the atomic law
 itself (g = 0), such as a heat flow and its datum, is one factor
 ``(g_phi - g_psi) (1 + A)``: the atoms are read once, and the radial
-difference at each radius.  Along the ray, each factor takes the reader
-that charges less: an atomic law with more atoms than one Clenshaw read
-costs (``ChebyshevBlocks.READ_COST``, six kernel evaluations) is read from
-lazily built Chebyshev blocks
+difference at each radius.  Every reader returns its values and, when
+asked, the magnitudes of its terms.  Along the ray, the atomic laws of a
+profile (``phi`` alone, or ``phi`` and ``psi`` when both are atomic) are
+one plane-wave sum over their atoms, the weights of ``psi`` negated; a sum
+of more atoms than one Clenshaw read costs (``ChebyshevBlocks.READ_COST``,
+six kernel evaluations) is read from lazily built Chebyshev blocks
 (:class:`~cfmoments.quadrature.ChebyshevBlocks`), summed by Clenshaw's
 recurrence, that the profile keeps for its lifetime, each built from the
-law's atoms at one complex exponential per atom; a pair of two such laws
-is read from one table of their difference, built from the atoms of both.
+sum's atoms at one complex exponential per atom, and any other directly.
 
 The integral of ``r**(-1-alpha) D(r)`` is then taken in three regions: an
 analytic power-law head below the origin cut (the difference vanishes like
@@ -50,12 +51,11 @@ at ``8 r_split``, from where a bounded tail may push them farther out.
 Each pass reports its cost with its diagnostics: the radii at which D was
 evaluated (``points``) and the kernel evaluations behind them
 (``kernel_evals``: one per atom of the factor's normal form, or one for
-a formula, and point evaluated directly, one per atom and built Chebyshev
-block, the atoms of both laws for a pair's table, ``READ_COST`` per value
-read from built blocks, one per radius for the
-radial factor of a shared-atom pair, and one per atomic kernel sum read
-from its series, whose moments cost one per atom when the profile is
-built).
+a formula, and point evaluated directly, one per atom of a plane-wave sum
+and built Chebyshev block, ``READ_COST`` per value read from built
+blocks, one per radius for the radial factor of a shared-atom pair, and
+one per atomic kernel sum read from its series, whose moments cost one per
+atom when the profile is built).
 
 Even-integer orders take no difference integral: :func:`even_order_moment`
 reads the moment from one coefficient of the transform's origin series.
@@ -63,6 +63,7 @@ reads the moment from one coefficient of the transform's origin series.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -158,18 +159,19 @@ def select_difference_order(alpha: float, prefer_real: bool = True):
     return k, "M13"
 
 
-# Taylor series of the kernels minus one, ``sum_l (-1)**l y**(2l) / den_l``
-# for l = 1..10; every denominator is an integer held exactly in a float
-_KERNEL_DENOMINATORS = {
-    "cos": np.array([math.factorial(2 * l) for l in range(1, 11)], dtype=float),
-    "j0": np.array([4**l * math.factorial(l) ** 2 for l in range(1, 11)], dtype=float),
-    "sinc": np.array([math.factorial(2 * l + 1) for l in range(1, 11)], dtype=float),
-}
-_KERNEL_SIGNS = (-1.0) ** np.arange(1, 11)
 # the atomic reduction reads a kernel sum from its first terms wherever
 # every argument is at most the cut
 _SERIES_CUT = 0.5
 _SERIES_TERMS = 8
+
+
+@functools.cache
+def _kernel_denominators(d):
+    """The D_l of the kernel minus one in dimension d, the series ``sum_l
+    (-y**2)**l / D_l``, for l = 1..10: each D_l
+    (:func:`~cfmoments.specfun.plane_wave_mean_denominator`) is an integer
+    held exactly in a float."""
+    return np.array([plane_wave_mean_denominator(l, d) for l in range(1, 11)], dtype=float)
 
 
 def _horner(coeffs, x):
@@ -198,12 +200,12 @@ def _kernel_minus_one(kernel, y):
     # ten terms, through y**20 (the first omitted one is below 1e-21
     # relative at y = 1), in Horner form after the leading term; that term
     # is one division, not a product with a rounded 1/6, which keeps the
-    # sum within 2 ulp.  Above y = 1 the closed forms lose under three bits
-    # to the subtraction of one.
+    # sum within 2 ulp; the rest is summed in powers of -y**2.  Above y = 1
+    # the closed forms lose under three bits to the subtraction of one.
     if small.any():
         y2 = y[small] ** 2
-        den = _KERNEL_DENOMINATORS[kernel]
-        out[small] = -y2 / den[0] + y2 * y2 * _horner(_KERNEL_SIGNS[1:] / den[1:], y2)
+        den = _kernel_denominators(2 if kernel == "j0" else 3)
+        out[small] = -y2 / den[0] + y2 * y2 * _horner(1.0 / den[1:], -y2)
     if kernel == "j0":
         out[~small] = _bessel_j0(np.minimum(large, 1e300)) - 1.0
     else:
@@ -436,9 +438,9 @@ class _EvalCounts:
     kernel evaluations.  Each factor reader charges its own: one per point
     of a radial profile, one per atom of the factor's normal form (one for
     a formula) and point or sphere node evaluated directly, one per atom
-    for each Chebyshev block of a ray table, the atoms of both laws for a
-    pair's table (one complex exponential per atom builds a block), and
-    ``ChebyshevBlocks.READ_COST`` per value read from built blocks.  The
+    of a d = 1 plane-wave sum, one law's or a pair's, for each Chebyshev
+    block of its table (one complex exponential per atom builds a block),
+    and ``ChebyshevBlocks.READ_COST`` per value read from built blocks.  The
     atomic reduction charges one per atom for the even moments of its
     series, once, when it is built; then, per m and radius, one for a
     kernel sum read from the series or one per atom off the origin for a
@@ -507,21 +509,20 @@ def _reduce_part(acc, part, magnitude):
     return np.abs(vals) if magnitude else vals
 
 
-def _mean_terms(coeffs, f, h, rule, part, magnitude, atoms=1, difference=None):
-    """Evaluator of the angular mean of ``sum_m c_m (f - h)(m r)``.
+def _mean_terms(coeffs, read, rule, part, magnitude, atoms=1):
+    """Evaluator of the angular mean of ``sum_m c_m F(m r)``.
 
-    ``f`` and ``h`` (None for the constant transform 1) are factor readers:
-    each maps the radii ``m r`` to its factor minus one at every node of
-    ``rule`` and charges its own kernel evaluations.  ``difference``, when
-    given, reads ``f - h`` in one (the pair table of
-    :func:`_pair_table_reader`) and replaces the two reads wherever the
-    terms' magnitudes ``|f| + |h|`` are not asked for.  ``rule`` is None for
-    one node, which serves the radial profile and the d = 1 ray, or the
-    sphere rule's ``(weights, area)``.  Signed terms are combined per m, and
-    on one node the signed mean is the real part: the d = 1 nodes +1 and -1
-    carry conjugate values, since ``phi(-s) = conj phi(s)`` for a real
-    measure.  With ``magnitude`` the absolute value is taken per node,
-    before the mean.
+    ``read`` is the factor reader of F, the profile's difference minus
+    one (``phi - psi``, or ``phi - 1`` alone): ``read(s, with_magnitude)``
+    returns F at the radii s times every node of ``rule`` and, when asked,
+    the magnitudes of its terms, ``|phi - 1| + |psi - 1|`` for a
+    difference read apart (:func:`_minus`), else None, and charges its own
+    kernel evaluations.  ``rule`` is None for one node, which serves the
+    radial profile and the d = 1 ray, or the sphere rule's ``(weights,
+    area)``.  Signed terms are combined per m, and on one node the signed
+    mean is the real part: the d = 1 nodes +1 and -1 carry conjugate
+    values, since ``phi(-s) = conj phi(s)`` for a real measure.  With
+    ``magnitude`` the absolute value is taken per node, before the mean.
     On the sphere rule, chunks of the radii bound the readers' arrays to
     ``_NODE_BATCH`` radius x node x ``atoms`` products, ``atoms`` per point.
     """
@@ -530,18 +531,7 @@ def _mean_terms(coeffs, f, h, rule, part, magnitude, atoms=1, difference=None):
     def terms_at(r, with_magnitude):
         acc = terms = 0.0
         for m in range(1, coeffs.size):
-            s = m * r
-            if difference is not None and not with_magnitude:
-                vals = difference(s)
-            else:
-                vals = f(s)
-                if with_magnitude:
-                    amp = np.abs(vals)
-                if h is not None:
-                    other = h(s)
-                    if with_magnitude:
-                        amp = amp + np.abs(other)
-                    vals = vals - other
+            vals, amp = read(m * r, with_magnitude)
             if not magnitude:
                 vals = vals.real if rule is None else vals @ node_w
             acc = acc + coeffs[m] * vals
@@ -567,11 +557,25 @@ def _mean_terms(coeffs, f, h, rule, part, magnitude, atoms=1, difference=None):
     return evaluate
 
 
+def _read(vals, with_magnitude):
+    """A reader's return: the values and, when asked, their magnitudes."""
+    return vals, np.abs(vals) if with_magnitude else None
+
+
+def _minus(f, h):
+    """Reader of ``f - h`` for two readers: the terms' magnitudes add."""
+    def read(s, with_magnitude):
+        a, a_mag = f(s, with_magnitude)
+        b, b_mag = h(s, with_magnitude)
+        return a - b, a_mag + b_mag if with_magnitude else None
+    return read
+
+
 def _radial_reader(g, counts):
     """Radial profile minus one at the radii s, one kernel evaluation each."""
-    def read(s):
+    def read(s, with_magnitude):
         counts.kernel_evals += s.size
-        return np.asarray(g(s))
+        return _read(np.asarray(g(s)), with_magnitude)
     return read
 
 
@@ -595,10 +599,9 @@ def _evaluated_atoms(phi: CharFn) -> int:
     evaluates its two factors (n + m), and a radial x atomic form counts
     its n atoms and not its radial factor; in a shared-atom pair those
     atoms are read once and the radial difference is charged apart
-    (:func:`_shared_reader`).  The same count is the cost of one Chebyshev
-    block of an atomic law's ray table, which spends one complex
-    exponential per atom, and the cost per point of a direct read, which
-    :func:`_table_atoms` weighs against a read from blocks.
+    (:func:`_shared_reader`).  The same count is the cost per point of a
+    direct read, which :func:`_plane_wave_reader` weighs against a read
+    from Chebyshev blocks.
     """
     form = normal_form(phi)
     return 1 if form is None or form[1] is None else form[1].size
@@ -608,82 +611,54 @@ def _node_reader(fn, cost, nodes, counts):
     """``fn`` at every radius in s times every node, one row per radius, or
     at the radii themselves on the d = 1 ray (``nodes`` None), charged
     ``cost`` per point."""
-    def read(s):
+    def read(s, with_magnitude):
         if nodes is None:
             counts.kernel_evals += s.size * cost
-            return np.asarray(fn(s[:, None]))
+            return _read(np.asarray(fn(s[:, None])), with_magnitude)
         pts = (s[:, None, None] * nodes[None, :, :]).reshape(-1, nodes.shape[1])
         counts.kernel_evals += pts.shape[0] * cost
-        return np.asarray(fn(pts)).reshape(s.size, -1)
+        return _read(np.asarray(fn(pts)).reshape(s.size, -1), with_magnitude)
     return read
 
 
-def _table_atoms(phi: CharFn):
-    """The atoms of a d = 1 factor read from Chebyshev blocks: those of an
-    atomic law whose direct read, one kernel per atom, costs more than a
-    read from blocks (``ChebyshevBlocks.READ_COST``), not all at the
-    origin; None for any other factor, a radial x atomic form included.
-    The blocks' builds need no share in the choice (see
-    :class:`~cfmoments.quadrature.ChebyshevBlocks`)."""
-    atoms = phi.atoms
-    if atoms is None or atoms.size <= ChebyshevBlocks.READ_COST or not np.any(atoms.points):
-        return None
-    return atoms
+def _plane_wave_reader(phi: CharFn, psi: CharFn | None, counts):
+    """Reader of ``phi - psi`` (``phi - 1`` for psi None) along the
+    positive axis of d = 1, for s >= 0, where both are atomic laws.
 
+    The two laws are one plane-wave sum ``sum_j w_j (exp(-i x_j s) - 1)``
+    over their atoms, the weights of ``psi`` negated, entire of exponential
+    type tau = max |x_j|; an atom at the origin adds ``exp(0) - 1 = 0`` and
+    stays out of the sum.  A sum of more atoms than
+    ``ChebyshevBlocks.READ_COST``, the charge of one read from blocks, is
+    read from Chebyshev blocks built from its atoms as queries land and
+    kept for the reader's lifetime; the blocks' builds need no share in
+    the choice (see :class:`~cfmoments.quadrature.ChebyshevBlocks`).  Each
+    block costs one complex exponential per atom of the sum, and each value
+    read from the blocks ``READ_COST``.  Any other sum, and every radius
+    below the first block, where the origin descent and its noise probe
+    live, is read from the laws directly, at ``_evaluated_atoms`` per law
+    and point, and so are the term magnitudes ``|phi - 1| + |psi - 1|``.
+    """
+    laws = (phi,) if psi is None else (phi, psi)
+    direct = [_node_reader(f.minus_one, _evaluated_atoms(f), None, counts) for f in laws]
+    direct = direct[0] if psi is None else _minus(*direct)
+    freqs = np.concatenate([-f.atoms.points[:, 0] for f in laws])
+    amps = np.concatenate([sign * f.atoms.weights for f, sign in zip(laws, (1.0, -1.0))])
+    off = freqs != 0.0
+    n = int(np.count_nonzero(off))
+    if n <= ChebyshevBlocks.READ_COST:
+        return direct
+    table = ChebyshevBlocks(lambda s: direct(s, False)[0], freqs[off], amps[off])
 
-def _table_reader(table, cost, counts):
-    """Reader of the Chebyshev blocks ``table``, charged ``cost`` for each
-    block built and ``READ_COST`` for each value read from blocks; the
-    table's direct reader charges its own points."""
-    def read(s):
+    def read(s, with_magnitude):
+        if with_magnitude:
+            return direct(s, True)
         before = (table.blocks_built, table.values_read)
         vals = table(s)
-        counts.kernel_evals += ((table.blocks_built - before[0]) * cost
+        counts.kernel_evals += ((table.blocks_built - before[0]) * n
                                 + (table.values_read - before[1]) * table.READ_COST)
-        return vals
+        return vals, None
     return read
-
-
-def _ray_reader(phi: CharFn, counts):
-    """``phi(s) - 1`` along the positive axis of d = 1, for s >= 0.
-
-    An atomic law is the plane-wave sum ``sum_j w_j (exp(-i x_j s) - 1)``,
-    entire of exponential type tau = max |x_j|.  With more atoms than
-    ``ChebyshevBlocks.READ_COST``, the charge of one read from blocks, it
-    is read from Chebyshev blocks built from its atoms as queries land and
-    kept for the reader's lifetime (:func:`_table_atoms`).  The reader
-    charges its own cost: ``_evaluated_atoms`` for each point evaluated
-    directly (every point of any other factor, and each radius below the
-    first block, where the origin descent and its noise probe live) and
-    for each block built, and ``READ_COST`` for each value read from
-    blocks.  Atoms all at the origin (tau = 0) give a constant, read
-    directly.
-    """
-    direct = _node_reader(phi.minus_one, _evaluated_atoms(phi), None, counts)
-    atoms = _table_atoms(phi)
-    if atoms is None:
-        return direct
-    return _table_reader(ChebyshevBlocks(direct, -atoms.points[:, 0], atoms.weights),
-                         atoms.size, counts)
-
-
-def _pair_table_reader(phi: CharFn, psi: CharFn, read_phi, read_psi, counts):
-    """Reader of ``phi - psi`` along the d = 1 ray for two atomic laws that
-    would each get a ray table (:func:`_table_atoms`): one table of the
-    difference, the plane-wave sum over the atoms of both with the weights
-    of ``psi`` negated, in place of two tables read at the same radii.
-
-    ``read_phi`` and ``read_psi`` are the laws' direct readers, which the
-    table calls below its first block and which charge their own points.
-    A block costs one complex exponential per atom of either law,
-    ``n_phi + n_psi`` kernel evaluations, and a read of the difference
-    from the blocks ``READ_COST``.
-    """
-    a, b = phi.atoms, psi.atoms
-    table = ChebyshevBlocks(lambda s: read_phi(s) - read_psi(s),
-                            -np.concatenate([a.points[:, 0], b.points[:, 0]]),
-                            np.concatenate([a.weights, -b.weights]))
-    return _table_reader(table, a.size + b.size, counts)
 
 
 def _atomic_terms(atoms, coeffs, counts, g=None):
@@ -730,8 +705,9 @@ def _atomic_terms(atoms, coeffs, counts, g=None):
     ms = np.arange(1, k + 1)
     rho_max, moments = atoms.scaled_even_moments()
     counts.kernel_evals += radii.size
-    den = _KERNEL_DENOMINATORS[kernel][:_SERIES_TERMS]
-    series = _KERNEL_SIGNS[:_SERIES_TERMS] * moments[:_SERIES_TERMS] / den
+    den = _kernel_denominators(atoms.dim)[:_SERIES_TERMS]
+    # the series in powers of -z**2
+    series = moments[:_SERIES_TERMS] / den
     # as M_l <= M_1, the term of z**(2l + 2) is below 2**-60 of the leading
     # one wherever z**2 is below the l-th of these
     needed = (2.0**-60 * den[1:] / den[0]) ** (1.0 / np.arange(1, _SERIES_TERMS))
@@ -747,7 +723,7 @@ def _atomic_terms(atoms, coeffs, counts, g=None):
         if n_near:
             z2 = z[near] ** 2
             used = series[:1 + np.count_nonzero(needed < z2.max())]
-            s[near] = z2 * _horner(used, z2)
+            s[near] = -z2 * _horner(used, -z2)
         if n_near < mr.size:
             far = ~near
             # K - 1 per atom keeps the origin cancellation exact
@@ -790,7 +766,8 @@ def _shared_reader(phi, psi, atoms, read, counts):
     from the pair's plain atomic law or, for two radial x atomic forms, one
     built on the shared atoms.  The radial difference is read at the radii
     s, one kernel evaluation each, and broadcast over the sphere nodes, so
-    a point costs one per atom and node plus one: n + 1 on the d = 1 ray.
+    a point costs one per atom and node plus one: n + 1 on the d = 1 ray,
+    read directly.  The pair is one term, whose magnitude is its own.
     """
     radials = [normal_form(f)[0] for f in (phi, psi)]
     plain = psi if radials[1] is None else phi if radials[0] is None else None
@@ -802,10 +779,10 @@ def _shared_reader(phi, psi, atoms, read, counts):
 
     read_g = _radial_reader(g, counts)
 
-    def read_pair(s):
-        a = read_atoms(s)
-        gv = read_g(s)
-        return (gv if a.ndim == 1 else gv[:, None]) * (1.0 + a)
+    def read_pair(s, with_magnitude):
+        a = read_atoms(s, False)[0]
+        gv = read_g(s, False)[0]
+        return _read((gv if a.ndim == 1 else gv[:, None]) * (1.0 + a), with_magnitude)
     return read_pair
 
 
@@ -863,9 +840,10 @@ def difference_profile(phi: CharFn, psi: CharFn | None = None, *, k: int,
     every k, part and magnitude, with the pair's usual tail; the atoms are
     read once, at one per atom and node, and the radial difference at one
     per radius, where reading the two transforms apart would read the
-    atoms twice.  In dimension one a pair of atomic laws that would each
-    be read from a ray table is read from one table of their difference
-    (:func:`_pair_table_reader`).  On a single atom, the
+    atoms twice.  In dimension one the atomic laws of the profile, ``phi``
+    alone or ``phi`` and ``psi`` when both are atomic, are one plane-wave
+    sum, read by the reader that charges less
+    (:func:`_plane_wave_reader`).  On a single atom, the
     complex magnitude of the first difference is ``|g_phi - g_psi|`` at
     every node, which is the pair of the radial factors alone: that pair's
     profile is returned, with their envelopes and limits.
@@ -893,30 +871,26 @@ def difference_profile(phi: CharFn, psi: CharFn | None = None, *, k: int,
         evaluate = _atomic_terms(form.atoms, coeffs, counts, form.radial_minus_one)[0]
     else:
         if phi.is_radial and (psi is None or psi.is_radial):
-            rule = None
+            rule, ray = None, False
 
             def read(chi):
                 return _radial_reader(chi.radial_minus_one, counts)
         else:
             nodes, rule = _angular_rule(d, spec)
+            ray = nodes is None
 
             def read(chi):
-                if nodes is None:
-                    return _ray_reader(chi, counts)
+                if ray and chi.atoms is not None:
+                    return _plane_wave_reader(chi, None, counts)
                 return _node_reader(chi.minus_one, _evaluated_atoms(chi), nodes, counts)
-        difference = None
         if shared is not None:
-            f, h = _shared_reader(phi, psi, shared, read, counts), None
-        elif d == 1 and psi is not None and None not in (_table_atoms(phi), _table_atoms(psi)):
-            # the noise probe still reads |phi - 1| and |psi - 1| apart,
-            # directly, and the table reads below its first block with them
-            f, h = (_node_reader(c.minus_one, c.atoms.size, None, counts) for c in (phi, psi))
-            difference = _pair_table_reader(phi, psi, f, h, counts)
+            f = _shared_reader(phi, psi, shared, read, counts)
+        elif ray and psi is not None and phi.atoms is not None and psi.atoms is not None:
+            f = _plane_wave_reader(phi, psi, counts)
         else:
-            f, h = read(phi), None if psi is None else read(psi)
-        evaluate = _mean_terms(coeffs, f, h, rule, part, magnitude,
-                               max(_evaluated_atoms(c) for c in (phi, psi) if c is not None),
-                               difference)
+            f = read(phi) if psi is None else _minus(read(phi), read(psi))
+        evaluate = _mean_terms(coeffs, f, rule, part, magnitude,
+                               max(_evaluated_atoms(c) for c in (phi, psi) if c is not None))
     freq = k * (phi.osc_scale + (0.0 if psi is None else psi.osc_scale))
     tail = _profile_tail(phi, psi, coeffs, part, magnitude)
     return DifferenceProfile(evaluate, sphere_area(d), float(freq), magnitude=magnitude,
@@ -940,7 +914,7 @@ def derivative_profile(phi: CharFn, sigma: tuple, *, spec: QuadratureSpec) -> Di
     nodes, rule = _angular_rule(d, spec)
     read = _node_reader(lambda pts: np.asarray(phi.derivative(sigma, pts)) - base,
                         _evaluated_atoms(phi), nodes, counts)
-    evaluate = _mean_terms(binomial_difference_coefficients(1), read, None, rule, "complex", True,
+    evaluate = _mean_terms(binomial_difference_coefficients(1), read, rule, "complex", True,
                            _evaluated_atoms(phi))
     tail = StabilizedTail(abs(base))
     gap = _single_atom_gap([phi], 1)
@@ -962,9 +936,29 @@ def _origin_descent(profile: DifferenceProfile, a: float, alpha: float,
     the model closes the integral with a tight error bar.  Every fit, the
     first and each refit, raises :class:`DivergenceSuspectedError` on a
     coherent slope at or below ``alpha + slope_margin``.
+
+    The closing model's bar also carries the rounding of D at its anchor
+    x, four ulp of the terms' magnitudes there (from the model's own probe)
+    integrated as the model integrates D, ``4 eps terms(x) x**-alpha /
+    (slope - alpha)``: where the k terms cancel far below their size, that
+    rounding scales as the model does at the probes' power-of-two ratios,
+    so the spread of the fitted slopes does not show it.
     """
-    om = origin_power_model(profile.D, a, alpha, slope_margin=slope_margin,
-                            abs_mode=profile.magnitude)
+    def fit(x):
+        probes = []
+
+        def D(r):
+            vals, terms = profile._evaluate(r, True)
+            probes.append(terms)
+            return vals
+
+        om = origin_power_model(D, x, alpha, slope_margin=slope_margin,
+                                abs_mode=profile.magnitude)
+        if om.slope is None or om.slope <= alpha or probes[0] is None:
+            return om, 0.0
+        return om, 4.0 * 2.0**-53 * float(probes[0][0]) * x ** (-alpha) / (om.slope - alpha)
+
+    om, rounding = fit(a)
     tol_head = max(spec.abs_tol, spec.rel_tol * abs(om.contribution)) / 8.0
     integrand = profile.integrand(alpha)
 
@@ -986,9 +980,8 @@ def _origin_descent(profile: DifferenceProfile, a: float, alpha: float,
         head_err += err
         x = lo
         octaves += batch
-        om = origin_power_model(profile.D, x, alpha, slope_margin=slope_margin,
-                                abs_mode=profile.magnitude)
-    return head + om.contribution, head_err + om.error, om.slope, octaves
+        om, rounding = fit(x)
+    return head + om.contribution, head_err + om.error + rounding, om.slope, octaves
 
 
 def _difference_integral(profile: DifferenceProfile, alpha: float,
@@ -1082,7 +1075,7 @@ def radial_difference_integral(F, k: int, alpha: float, d: int = 1,
     coeffs = binomial_difference_coefficients(k)
     counts = _EvalCounts()
     profile = DifferenceProfile(
-        _mean_terms(coeffs, _radial_reader(g, counts), None, None, "complex", False),
+        _mean_terms(coeffs, _radial_reader(g, counts), None, "complex", False),
         angular=1.0,
         freq=0.0,
         magnitude=False,
@@ -1157,15 +1150,23 @@ def absolute_moment(phi: CharFn, alpha: float, spec: QuadratureSpec | None = Non
                     method: str = "auto") -> MomentResult:
     """Absolute moment of order alpha of the measure behind ``phi``.
 
-    Even-integer orders route to :func:`even_order_moment`.  ``method``
-    may force the exact atom sum or analytic oracle (``'exact'``) instead
-    of quadrature.  Raises :class:`DivergenceSuspectedError` when the
-    difference integral behaves like that of a measure without a finite
-    moment of this order.
+    Even-integer orders route to :func:`even_order_moment`.  ``formula``
+    may name the route: ``'M12'`` or ``'M13'``, or ``'even-series'`` at an
+    even-integer order; any other name raises :class:`DomainError`.
+    ``method`` may force the exact atom sum or analytic oracle
+    (``'exact'``) instead of quadrature.  Raises
+    :class:`DivergenceSuspectedError` when the difference integral behaves
+    like that of a measure without a finite moment of this order.
     """
     spec = spec or QuadratureSpec()
     if alpha <= 0:
         raise DomainError("order alpha must be positive")
+    even = _is_near_integer(alpha, _GUARD_BAND) and round(alpha) % 2 == 0
+    if formula not in ((None, "even-series") if even else (None, "M12", "M13")):
+        raise DomainError(
+            f"formula {formula!r} does not apply at order {alpha}: orders at (or within the "
+            "guard band of) an even integer are outside the difference formulas' hypotheses "
+            "and take even-series (even_order_moment), every other order M12 or M13")
     if method not in ("auto", "quadrature", "exact"):
         raise DomainError("method must be auto, quadrature or exact")
     if method == "exact":
@@ -1175,13 +1176,7 @@ def absolute_moment(phi: CharFn, alpha: float, spec: QuadratureSpec | None = Non
             return MomentResult(float(phi.analytic_moment(alpha)), 0.0,
                                 "analytic-oracle", None)
         raise DomainError(f"{phi.label} carries no exact moment oracle")
-    if _is_near_integer(alpha, _GUARD_BAND) and round(alpha) % 2 == 0:
-        if formula not in (None, "even-series"):
-            raise DomainError(
-                "orders at (or within the guard band of) an even integer are "
-                "outside the difference formulas' hypotheses; use "
-                "even_order_moment"
-            )
+    if even:
         return even_order_moment(phi, round(alpha))
     if k is None and formula is None:
         k, formula = select_difference_order(alpha)

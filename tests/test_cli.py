@@ -333,7 +333,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("bad", [{"alpha": "half"}, {"alpha": 0.5, "k": [1]},
                                      {"alpha": 0.5, "quadrature": {"rel_tol": "x"}},
                                      {"alpha": 0.5, "quadrature": {"max_panels": 1e3}},
-                                     {"alpha": 2, "formula": "even-limit"}])
+                                     {"alpha": 2, "formula": "even-limit"},
+                                     {"alpha": 0.5, "formula": "bogus"},
+                                     {"alpha": 0.5, "k": 2, "formula": "bogus"},
+                                     {"alpha": 0.5, "formula": "even-series"}])
     def test_malformed_fields_are_config_errors(self, tmp_path, capsys, bad):
         cfg = write_config(tmp_path, {"measure": {"family": "gaussian", "t": 1, "d": 1}, **bad})
         assert cli.main(["moment", "--config", cfg]) == 2

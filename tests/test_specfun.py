@@ -253,6 +253,22 @@ class TestSphereArea:
         assert sf.sphere_area(3) == pytest.approx(4.0 * math.pi, rel=1e-14)
 
 
+class TestPlaneWaveMeanDenominator:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_kernel_series(self, d):
+        # (2l)! for cos, 4**l (l!)**2 for J0, (2l + 1)! for sinc, each held
+        # exactly in a float: the denominators of the engine's kernel series
+        from cfmoments.moment_engine import _kernel_denominators
+
+        closed = {1: lambda l: math.factorial(2 * l),
+                  2: lambda l: 4**l * math.factorial(l) ** 2,
+                  3: lambda l: math.factorial(2 * l + 1)}[d]
+        den = _kernel_denominators(d)
+        for l in range(1, 11):
+            assert sf.plane_wave_mean_denominator(l, d) == closed(l)
+            assert float(sf.plane_wave_mean_denominator(l, d)) == float(closed(l)) == den[l - 1]
+
+
 class TestTrigPowerTail:
     @pytest.mark.parametrize("y,alpha", [(40.0, 0.5), (32.0, 1.5), (80.0, 2.5), (25.0, 0.3)])
     def test_against_fourier_quadrature(self, y, alpha):
