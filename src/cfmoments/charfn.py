@@ -1,17 +1,18 @@
 """Characteristic functions: representation, constructors and difference algebra.
 
 A :class:`CharFn` bundles a vectorized evaluator with the structural facts
-the integrators exploit: radial symmetry, realness, an accurate
-``phi - 1`` evaluator (the difference integrands live entirely on that
-scale, and computing ``phi(xi) - 1`` by subtraction loses everything near
-the origin), a decreasing modulus envelope for decaying transforms, the
-exact atom list for finitely supported measures, and optional analytic
-derivative / moment oracles.  Products and scalings of radial and atomic
-laws keep the normal form ``(1 + g)(1 + A)`` (:func:`normal_form`), so the
-moment engine can average them over spheres exactly.  Constructor outputs
-also carry the power series of their sphere mean minus one at the origin
-(:class:`OriginSeries`), built on first use, from which the moment engine
-reads even-order moments.
+the integrators exploit: radial symmetry, an accurate ``phi - 1``
+evaluator (the difference integrands live entirely on that scale, and
+computing ``phi(xi) - 1`` by subtraction loses everything near the
+origin), a decreasing modulus envelope for decaying transforms, the exact
+atom list for finitely supported measures, and optional analytic
+derivative / moment oracles.  It also records whether the transform is
+real (``is_real``), which no integrator reads.  Products and scalings of
+radial and atomic laws keep the normal form ``(1 + g)(1 + A)``
+(:func:`normal_form`), so the moment engine can average them over spheres
+exactly.  Constructor outputs also carry the power series of their sphere
+mean minus one at the origin (:class:`OriginSeries`), built on first use,
+from which the moment engine reads even-order moments.
 
 Evaluators are pure and never mutate; instances are safe to share across
 threads and to evaluate in parallel panels.
@@ -19,6 +20,7 @@ threads and to evaluate in parallel panels.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -113,15 +115,13 @@ def _series(exponents, coeffs, errors) -> OriginSeries:
 
 
 def _weighted_union(weights, parts) -> OriginSeries:
-    """The series of ``sum_i w_i S_i`` from each part's (exponents,
-    coefficients, rounding bounds); each scaled coefficient rounds once."""
-    parts = list(parts) + [(np.empty(0),) * 3]
-    weights = list(weights) + [0.0]
+    """The series of ``sum_i w_i S_i`` from one or more parts' series;
+    each scaled coefficient rounds once."""
     return _series(
-        np.concatenate([e for e, _, _ in parts]),
-        np.concatenate([wi * b for wi, (_, b, _) in zip(weights, parts)]),
-        np.concatenate([wi * err + _ULP * np.abs(wi * b)
-                        for wi, (_, b, err) in zip(weights, parts)]),
+        np.concatenate([s.exponents for s in parts]),
+        np.concatenate([wi * s.coeffs for wi, s in zip(weights, parts)]),
+        np.concatenate([wi * s.errors + _ULP * np.abs(wi * s.coeffs)
+                        for wi, s in zip(weights, parts)]),
     )
 
 
@@ -267,8 +267,7 @@ class CharFn:
         return 1.0 + np.asarray(self.profile_minus_one(r))
 
 
-def _radial_charfn(dim, profile_m1, label, *, envelope=None, tail_limit=0.0,
-                   atoms=None, derivative=None, analytic_moment=None, origin_series=None):
+def _radial_charfn(dim, profile_m1, label, *, envelope, analytic_moment, origin_series):
     def minus_one(pts):
         r = np.sqrt((pts**2).sum(axis=1))
         return profile_m1(r)
@@ -281,43 +280,30 @@ def _radial_charfn(dim, profile_m1, label, *, envelope=None, tail_limit=0.0,
         label=label,
         radial_minus_one=profile_m1,
         envelope=envelope,
-        tail_limit=tail_limit,
-        atoms=atoms,
-        derivative=derivative,
         analytic_moment=analytic_moment,
         origin_series=origin_series,
     )
 
 
 def make_gaussian(t: float, d: int = 1) -> CharFn:
-    """Transform ``exp(-t |xi|**2)`` (the N(0, 2t I) law)."""
-    if t <= 0:
-        raise DomainError("scale t must be positive")
-    if d < 1:
-        raise DomainError("dimension must be >= 1")
+    """Transform ``exp(-t |xi|**2)`` (the N(0, 2t I) law).
 
-    def profile_m1(r):
-        return np.expm1(-t * r**2)
-
+    The p = 2 case of :func:`make_stable`, whose profile, envelope, origin
+    series and moment oracle it shares, with the Gaussian's derivative
+    oracle added.
+    """
     def deriv(sigma, pts):
         return _separable_derivative(pts, sigma, _gaussian_factor_derivs(t))
 
-    return _radial_charfn(
-        d,
-        profile_m1,
-        f"gaussian(t={t:g}, d={d})",
-        envelope=lambda r: np.exp(-t * np.asarray(r, dtype=float) ** 2),
-        derivative=deriv,
-        analytic_moment=lambda a: closed_forms.stable_moment(2.0, a, d) * t ** (a / 2.0),
-        origin_series=functools.cache(lambda: _series(*_exp_terms(t, 2.0))),
-    )
+    return dataclasses.replace(make_stable(2.0, t, d), derivative=deriv,
+                               label=f"gaussian(t={t:g}, d={d})")
 
 
 def make_stable(p: float, t: float = 1.0, d: int = 1) -> CharFn:
     """Transform ``exp(-t |xi|**p)`` for 0 < p <= 2.
 
-    Positive definite exactly in that exponent range; the p = 2 case
-    coincides with :func:`make_gaussian`.
+    Positive definite exactly in that exponent range; :func:`make_gaussian`
+    is the p = 2 case.
     """
     if not 0.0 < p <= 2.0:
         raise DomainError(f"exponent p={p} outside (0, 2]")
@@ -337,7 +323,6 @@ def make_stable(p: float, t: float = 1.0, d: int = 1) -> CharFn:
         profile_m1,
         f"stable(p={p:g}, t={t:g}, d={d})",
         envelope=lambda r: np.exp(-t * np.asarray(r, dtype=float) ** p),
-        derivative=None,
         analytic_moment=analytic_moment,
         origin_series=functools.cache(lambda: _series(*_exp_terms(t, p))),
     )
@@ -378,9 +363,9 @@ def make_linnik(p: float, beta: float, d: int = 1) -> CharFn:
     )
 
 
-def make_discrete(measure: DiscreteMeasure, *, is_real: bool = False,
-                  label: str = "discrete") -> CharFn:
-    """Transform of a finitely supported measure, atoms carried exactly."""
+def make_discrete(measure: DiscreteMeasure, *, label: str = "discrete") -> CharFn:
+    """Transform of a finitely supported measure, atoms carried exactly;
+    flagged real and radial only when every atom sits at the origin."""
     pts_T = measure.points.T  # (d, n)
     w = measure.weights
 
@@ -441,52 +426,22 @@ def make_empirical(samples) -> CharFn:
 def make_schoenberg(mixing: DiscreteMeasure, p: float, d: int = 1) -> CharFn:
     """Discrete scale mixture ``sum w_i exp(-t_i |xi|**p)``.
 
-    ``mixing`` must be supported on [0, inf); a mixing atom at zero
-    contributes the constant 1 and shows up as the transform's limit at
-    infinity rather than in the decaying envelope.
+    ``mixing`` must be supported on [0, inf).  The transform is the
+    :func:`make_mixture` of the stable laws ``make_stable(p, t_i, d)``
+    with the mixing weights; a mixing atom at zero contributes the unit
+    point mass at the origin, the constant 1, which shows up as the
+    transform's limit at infinity rather than in the decaying envelope.
     """
     if not 0.0 < p <= 2.0:
         raise DomainError(f"exponent p={p} outside (0, 2]")
     if mixing.dim != 1:
         raise DomainError("mixing measure must live on the half line")
     t = mixing.points[:, 0]
-    w = mixing.weights
     if np.any(t < 0.0):
         raise DomainError("mixing atoms must be nonnegative")
-    pos = t > 0.0
-    t_pos, w_pos = t[pos], w[pos]
-    w_zero = float(w[~pos].sum())
-
-    def profile_m1(r):
-        r = np.asarray(r, dtype=float)
-        acc = np.zeros_like(r)
-        for ti, wi in zip(t_pos, w_pos):
-            acc += wi * np.expm1(-ti * r**p)
-        return acc
-
-    def envelope(r):
-        r = np.asarray(r, dtype=float)
-        acc = np.zeros_like(r)
-        for ti, wi in zip(t_pos, w_pos):
-            acc += wi * np.exp(-ti * r**p)
-        return acc
-
-    def analytic_moment(a):
-        return closed_forms.schoenberg_moment(t, w, p, a, d)
-
-    def series():
-        # one exp series per mixing atom off zero; those at zero add none
-        return _weighted_union(w_pos, (_exp_terms(ti, p) for ti in t_pos))
-
-    return _radial_charfn(
-        d,
-        profile_m1,
-        f"schoenberg(p={p:g}, atoms={len(t)}, d={d})",
-        envelope=envelope,
-        tail_limit=w_zero,
-        analytic_moment=analytic_moment,
-        origin_series=functools.cache(series),
-    )
+    parts = [make_stable(p, ti, d) if ti > 0.0 else make_point_mass(np.zeros(d)) for ti in t]
+    return dataclasses.replace(make_mixture(parts, mixing.weights),
+                               label=f"schoenberg(p={p:g}, atoms={len(t)}, d={d})")
 
 
 def normal_form(phi: CharFn) -> tuple[CharFn | None, DiscreteMeasure | None] | None:
@@ -589,8 +544,26 @@ def _product_envelope(phi, psi):
     return None, 0.0
 
 
+def _weighted_sum(w, fns):
+    """``x -> sum_i w_i f_i(x)``, summed in the order of the parts."""
+    def total(x):
+        acc = w[0] * np.asarray(fns[0](x))
+        for wi, f in zip(w[1:], fns[1:]):
+            acc = acc + wi * np.asarray(f(x))
+        return acc
+    return total
+
+
 def make_mixture(components, weights) -> CharFn:
-    """Convex combination of transforms: the transform of the mixture law."""
+    """Convex combination of transforms: the transform of the mixture law.
+
+    ``phi - 1``, the radial profile minus one (when every component is
+    radial) and the envelope (when every component has one) are the
+    weighted sums of the components' own, and so are the limit at
+    infinity, the moment oracle and the origin series.  An atomic law
+    results when every component is atomic.  :func:`make_schoenberg` is
+    this mixture of stable laws.
+    """
     comps = list(components)
     w = np.asarray(weights, dtype=float)
     if len(comps) != w.size or len(comps) == 0:
@@ -601,31 +574,15 @@ def make_mixture(components, weights) -> CharFn:
     if any(c.dim != d for c in comps):
         raise DomainError("dimension mismatch in mixture")
 
-    def minus_one(pts):
-        acc = w[0] * np.asarray(comps[0].minus_one(pts))
-        for wi, c in zip(w[1:], comps[1:]):
-            acc = acc + wi * np.asarray(c.minus_one(pts))
-        return acc
-
     radial = all(c.is_radial for c in comps)
     radial_m1 = None
     if radial:
-        def radial_m1(r):
-            acc = w[0] * np.asarray(comps[0].radial_minus_one(r))
-            for wi, c in zip(w[1:], comps[1:]):
-                acc = acc + wi * np.asarray(c.radial_minus_one(r))
-            return acc
-
+        radial_m1 = _weighted_sum(w, [c.radial_minus_one for c in comps])
     envelope = None
     tail_limit = 0.0
     if all(c.envelope is not None for c in comps):
         tail_limit = float(np.dot(w, [c.tail_limit for c in comps]))
-
-        def envelope(r):
-            acc = w[0] * np.asarray(comps[0].envelope(r), dtype=float)
-            for wi, c in zip(w[1:], comps[1:]):
-                acc = acc + wi * np.asarray(c.envelope(r), dtype=float)
-            return acc
+        envelope = _weighted_sum(w, [c.envelope for c in comps])
 
     atoms = None
     if all(c.atoms is not None for c in comps):
@@ -639,12 +596,11 @@ def make_mixture(components, weights) -> CharFn:
 
     series = None
     if all(c.origin_series is not None for c in comps):
-        series = functools.cache(lambda: _weighted_union(
-            w, ((s.exponents, s.coeffs, s.errors) for s in (c.series() for c in comps))))
+        series = functools.cache(lambda: _weighted_union(w, [c.series() for c in comps]))
 
     return CharFn(
         dim=d,
-        minus_one=minus_one,
+        minus_one=_weighted_sum(w, [c.minus_one for c in comps]),
         is_radial=radial,
         is_real=all(c.is_real for c in comps),
         label="mixture(" + ", ".join(c.label for c in comps) + ")",

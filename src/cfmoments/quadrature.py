@@ -297,8 +297,6 @@ class OriginModel:
     contribution: complex
     error: float
     slope: float | None
-    anchor_value: complex
-    anchor: float
 
 
 def origin_power_model(
@@ -326,11 +324,11 @@ def origin_power_model(
     anchor = float(mags[0]) if abs_mode else complex(vals[0])
     if mags.max() == 0.0:
         # identically vanishing difference (equal transforms)
-        return OriginModel(0.0, 0.0, None, anchor, a)
+        return OriginModel(0.0, 0.0, None)
     if np.any(mags <= 0.0):
         # cancellation noise flushed a probe to zero: no usable exponent
         # at this depth, only a wide bar from the largest probe
-        return OriginModel(0.0, float(10.0 * mags.max() * a ** (-alpha)), None, anchor, a)
+        return OriginModel(0.0, float(10.0 * mags.max() * a ** (-alpha)), None)
     s = np.log2(mags[:-1] / mags[1:])
     slope = float(s[-1])
     spread = float(np.max(np.abs(s - slope)))
@@ -344,12 +342,12 @@ def origin_power_model(
         )
     if slope <= alpha:
         # incoherent probe with no usable exponent: no model value, wide bar
-        return OriginModel(0.0, float(10.0 * mags.max() * a ** (-alpha)), slope, anchor, a)
+        return OriginModel(0.0, float(10.0 * mags.max() * a ** (-alpha)), slope)
     denom = slope - alpha
     contribution = anchor * a ** (-alpha) / denom
     rel_err = min(1.0, spread / denom + spread)
     error = abs(contribution) * rel_err + 5e-15 * mags.max() * a ** (-alpha) / denom
-    return OriginModel(contribution, float(error), slope, anchor, a)
+    return OriginModel(contribution, float(error), slope)
 
 
 # rounding of a tail, relative to the summed magnitudes of its parts: eight

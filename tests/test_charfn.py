@@ -63,10 +63,22 @@ class TestConstructors:
     def test_stable_values(self):
         s = cf.make_stable(1.0, 1.0, 1)
         assert s.evaluate(2.0) == pytest.approx(math.exp(-2.0), rel=1e-15)
-        s2 = cf.make_stable(2.0, 1.0, 1)
-        g = cf.make_gaussian(1.0, 1)
-        xs = np.linspace(-4, 4, 21)
-        assert np.abs(s2.evaluate(xs) - g.evaluate(xs)).max() == 0.0
+        # the Gaussian is the p = 2 stable law, bitwise, plus its derivative oracle
+        for t, d in ((1.0, 1), (0.7, 3)):
+            s2, g = cf.make_stable(2.0, t, d), cf.make_gaussian(t, d)
+            pts = np.random.default_rng(d).normal(scale=2.0, size=(25, d))
+            r = np.linspace(0.0, 6.0, 25)
+            assert np.array_equal(s2.minus_one(pts), g.minus_one(pts))
+            assert np.array_equal(s2.radial_minus_one(r), g.radial_minus_one(r))
+            assert np.array_equal(s2.envelope(r), g.envelope(r))
+            for field in ("exponents", "coeffs", "errors"):
+                assert np.array_equal(getattr(s2.series(), field), getattr(g.series(), field))
+            for a in (0.5, 1.3, 3.7):
+                assert s2.analytic_moment(a) == g.analytic_moment(a)
+            assert s2.derivative is None and g.derivative is not None
+            assert g.label == f"gaussian(t={t:g}, d={d})"
+        assert g.derivative((1, 0, 0), np.zeros((1, 3)))[0] == 0.0
+        assert g.derivative((2, 0, 0), np.zeros((1, 3)))[0] == pytest.approx(-1.4, rel=1e-15)
         s3 = cf.make_stable(0.5, 1.0, 3)
         assert s3.evaluate([0.0, 0.0, 4.0]) == pytest.approx(math.exp(-2.0), rel=1e-15)
         with pytest.raises(DomainError):
@@ -158,6 +170,42 @@ class TestConstructors:
         assert s2.evaluate(1.0) == pytest.approx((math.exp(-1) + math.exp(-4)) / 2, rel=1e-15)
         with pytest.raises(DomainError):
             cf.make_schoenberg(DiscreteMeasure(np.array([[-1.0]]), np.array([1.0])), 1.0, 1)
+
+    @pytest.mark.parametrize("p, d", [(1.5, 2), (2.0, 1)])
+    def test_schoenberg_is_a_mixture_of_stable_laws(self, p, d):
+        from cfmoments import closed_forms
+        from cfmoments.moment_engine import even_order_moment
+
+        # a mixing atom at zero is the unit point mass at the origin
+        nu = DiscreteMeasure(np.array([[0.5], [0.0], [2.0]]), np.array([0.2, 0.5, 0.3]))
+        s = cf.make_schoenberg(nu, p, d)
+        hand = cf.make_mixture([cf.make_stable(p, 0.5, d), cf.make_point_mass(np.zeros(d)),
+                                cf.make_stable(p, 2.0, d)], nu.weights)
+        assert s.label == f"schoenberg(p={p:g}, atoms=3, d={d})"
+        pts = np.random.default_rng(4).normal(scale=2.0, size=(25, d))
+        r = np.linspace(0.0, 6.0, 25)
+        assert np.array_equal(s.minus_one(pts), hand.minus_one(pts))
+        assert np.array_equal(s.radial_minus_one(r), hand.radial_minus_one(r))
+        assert np.isrealobj(s.radial_minus_one(r))
+        assert np.array_equal(s.envelope(r), hand.envelope(r))
+        for field in ("exponents", "coeffs", "errors"):
+            assert np.array_equal(getattr(s.series(), field), getattr(hand.series(), field))
+        assert s.tail_limit == nu.weights[1]
+        assert s.is_radial and s.is_real and s.atoms is None
+        for a in (0.3, 0.9, 1.4):
+            exact = closed_forms.schoenberg_moment(nu.points[:, 0], nu.weights, p, a, d)
+            assert s.analytic_moment(a) == hand.analytic_moment(a)
+            assert abs(s.analytic_moment(a) - exact) <= 4.0 * np.spacing(exact)
+        if p == 2.0:
+            # the zero atom adds no second moment: 2 t d per Gaussian part
+            got = even_order_moment(s, 2).value
+            assert got == pytest.approx(2.0 * d * (0.2 * 0.5 + 0.3 * 2.0), rel=1e-15)
+
+    def test_schoenberg_at_zero_alone_is_the_origin_mass(self):
+        s = cf.make_schoenberg(DiscreteMeasure(np.array([[0.0]]), np.array([1.0])), 1.5, 2)
+        assert s.atoms is not None and s.atoms.size == 1 and s.tail_limit == 1.0
+        assert np.array_equal(s.minus_one(np.ones((3, 2))), np.zeros(3))
+        assert s.analytic_moment(0.7) == 0.0
 
     def test_mixture_weight_validation(self):
         with pytest.raises(DomainError):

@@ -279,6 +279,7 @@ class TestMeasureBuilder:
             ],
         })
         assert phi.dim == 1 and not phi.is_real
+        assert phi.label == "(gaussian(t=1, d=1))*(point_mass([1.]))"
         mix = cli.build_measure({
             "family": "mixture",
             "components": [
@@ -301,6 +302,9 @@ class TestMeasureBuilder:
             "family": "schoenberg", "p": 2.0, "d": 1,
             "mixing": {"atoms": [1.0, 4.0], "weights": [0.5, 0.5]},
         })
+        assert phi.label == "schoenberg(p=2, atoms=2, d=1)"
+        g = cli.build_measure({"family": "gaussian", "t": 0.5, "d": 2})
+        assert g.label == "gaussian(t=0.5, d=2)" and g.derivative is not None
         import math
 
         assert complex(phi.evaluate(1.0)).real == pytest.approx(
