@@ -149,14 +149,17 @@ def _atomic_series(measure: DiscreteMeasure) -> OriginSeries:
 
     Each scaled moment sums n positive terms, each within 2l + 1 roundings;
     scaling back, the product and the quotient add three more, and a
-    denominator above 2**53 one.
+    denominator above 2**53 one.  With every atom at the origin the
+    transform is 1 and the series is empty.
     """
+    n = np.count_nonzero(measure.radii())
+    if n == 0:
+        return _series([], [], [])
     rho_max, M = measure.scaled_even_moments()
     l = np.arange(1, M.size + 1)
     den = np.array([float(plane_wave_mean_denominator(int(i), measure.dim)) for i in l])
     with np.errstate(over="ignore"):
         b = (-1.0) ** l * (rho_max ** (2 * l) * M) / den
-    n = np.count_nonzero(measure.radii())
     return _series(2.0 * l, b, (n + 2 * l + 5) * _ULP * np.abs(b))
 
 

@@ -74,7 +74,6 @@ from scipy.special import j0 as _bessel_j0
 from .charfn import CharFn, make_discrete, normal_form
 from .errors import DivergenceSuspectedError, DomainError, QuadratureError
 from .quadrature import (
-    _TAIL_ROUNDING,
     ChebyshevBlocks,
     QuadratureSpec,
     adaptive_panel_integral,
@@ -88,6 +87,7 @@ from .quadrature import (
 from .specfun import (
     MAX_DIFFERENCE_ORDER,
     binomial_difference_coefficients,
+    j0_power_tail,
     moment_constant,
     plane_wave_mean_denominator,
     power_difference_condition,
@@ -213,80 +213,6 @@ def _kernel_minus_one(kernel, y):
     return out
 
 
-# Hankel's expansion of J0 (DLMF 10.17.1; Watson, Bessel Functions, 7.21):
-# J0(u) = Re[sqrt(2/(pi u)) exp(i (u - pi/4)) sum_k i**k a_k u**-k], with
-# a_k = (-1)**k 1**2 3**2 ... (2k - 1)**2 / (k! 8**k); the tail takes the
-# first _HANKEL_TERMS terms, and a_K of the first omitted one bounds the rest
-_HANKEL_TERMS = 8
-_HANKEL_A = np.array([(-1) ** k * math.prod((2 * i - 1) ** 2 for i in range(1, k + 1))
-                      / (math.factorial(k) * 8**k) for k in range(_HANKEL_TERMS + 1)])
-# the integration-by-parts series keep at most this many terms, as in
-# specfun.trig_power_tail
-_TAIL_SERIES_TERMS = 200
-
-
-def _j0_tail_asymptotic(y, alpha):
-    """``int_y^inf u**(-1-alpha) J0(u) du`` for ``y >= max(32, 4 (1 +
-    alpha))``, from Hankel's expansion.
-
-    Term k of the expansion is ``A_k u**(-1-nu_k) exp(iu)`` with
-    ``nu_k = alpha + 1/2 + k``, whose tail integration by parts unrolls
-    into ``exp(iy) sum_j c_j(nu_k) y**(-nu_k-j)`` with ``c_0 = i`` and
-    ``c_(j+1) = -i (nu_k + j) c_j`` (as in
-    :func:`~cfmoments.specfun.trig_power_tail`).  Collecting the powers of
-    y gives one series, ``sum_n C_n y**(-nu_0-n)``, summed per limit
-    while the sum ``D_n y**(-nu_0-n)`` of its parts' magnitudes decreases,
-    and cut at the smallest one or below 1e-16 of the sum; that last
-    magnitude bounds every part's remainder together; far coefficients may
-    overflow, and a term that is not finite stops the sum.  For real u the
-    expansion's own remainder after K terms is below ``sqrt(2/(pi u))
-    (|a_K| u**-K + |a_(K+1)| u**-(K+1))``, which is below ``|a_K| u**-K``
-    once u >= 32, and integrates to ``|a_K| y**(-alpha-K-1/2) / (alpha + K
-    + 1/2)``.  The rounding of the sum and of its phase adds the tails'
-    eight ulp of ``sum_n D_n y**(-nu_0-n)``, which the value itself can
-    fall far below near a zero of its phase.
-    """
-    y = np.asarray(y, dtype=float)
-    flat = y.ravel()
-    K, N = _HANKEL_TERMS, _TAIL_SERIES_TERMS
-    nu0 = 1.5 + alpha
-    amp = (math.sqrt(2.0 / math.pi) * _HANKEL_A[:K] * 1j ** np.arange(K)
-           * complex(math.sqrt(0.5), -math.sqrt(0.5)))
-    acc = np.zeros(flat.size, dtype=complex)
-    bound = np.zeros(flat.size)
-    total = np.zeros(flat.size)
-    prev = np.full(flat.size, math.inf)
-    live = np.arange(flat.size)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # c_j(nu_k) = i (-i)**j (nu_k)_j, row k; the powers n = k + j collected
-        rising = np.cumprod(np.concatenate(
-            [np.ones((K, 1)), nu0 + np.arange(K)[:, None] + np.arange(N - 1)[None, :]],
-            axis=1), axis=1)
-        phase = 1j * (-1j) ** np.arange(N)
-        C = np.zeros(N, dtype=complex)
-        D = np.zeros(N)
-        for k in range(K):
-            C[k:] += amp[k] * phase[:N - k] * rising[k, :N - k]
-            D[k:] += abs(amp[k]) * rising[k, :N - k]
-        for n in range(N):
-            if live.size == 0:
-                break
-            power = flat[live] ** (-nu0 - n)
-            mag = D[n] * power
-            falling = mag < prev[live]
-            live, power, mag = live[falling], power[falling], mag[falling]
-            acc[live] += C[n] * power
-            bound[live] = mag
-            total[live] += mag
-            prev[live] = mag
-            live = live[mag >= 1e-16 * np.maximum(np.abs(acc[live]), 1e-300)]
-    nu = alpha + 0.5 + K
-    val = np.real(np.exp(1j * flat) * acc).reshape(y.shape)
-    err = (bound + abs(_HANKEL_A[K]) * flat ** (-nu) / nu
-           + _TAIL_ROUNDING * total).reshape(y.shape)
-    return val, err
-
-
 def _kernel_tail(kernel, y, alpha):
     """``int_y^inf u**(-1-alpha) K(u) du`` with an error bound, for every
     lower limit in ``y`` at once."""
@@ -298,7 +224,7 @@ def _kernel_tail(kernel, y, alpha):
     if kernel == "j0":
         return bridged_tail(
             lambda u: u ** (-1.0 - alpha) * _bessel_j0(u),
-            lambda x: _j0_tail_asymptotic(x, alpha),
+            lambda x: j0_power_tail(x, alpha),
             y, max(32.0, 4.0 * (1.0 + alpha)),
             per_octave=4, rel_tol=1e-12, abs_tol=1e-15, max_panels=1024,
         )
@@ -1224,10 +1150,12 @@ def even_order_moment(phi: CharFn, order: int) -> MomentResult:
     the moment is infinite and raises :class:`DivergenceSuspectedError`, as
     does a negative quotient.  Orders up to ``2 MAX_DIFFERENCE_ORDER``, the
     series' last exponent, are supported; a transform without a series
-    raises :class:`DomainError`.
+    raises :class:`DomainError`.  An integral float order is taken as its
+    integer.
     """
     if order <= 0 or order % 2 != 0:
         raise DomainError("order must be a positive even integer")
+    order = int(order)
     series = phi.series()
     if series is None:
         raise DomainError(

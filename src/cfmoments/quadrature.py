@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceSuspectedError, DomainError, QuadratureError
-from .specfun import trig_power_tail
+from .specfun import _TAIL_ROUNDING, trig_power_tail
 
 __all__ = [
     "QuadratureSpec",
@@ -350,16 +350,12 @@ def origin_power_model(
     return OriginModel(contribution, float(error), slope)
 
 
-# rounding of a tail, relative to the summed magnitudes of its parts: eight
-# ulp, where the tails of cos, sin and J0 were measured to need up to 2.5
-_TAIL_ROUNDING = 8 * 2.0**-52
-
-
 def bridged_tail(f, series, y, y0, *, per_octave, rel_tol, abs_tol, max_panels):
     """``int_y^inf f(u) du`` for every lower limit in the array ``y``.
 
     ``series(x)`` returns the asymptotic (value, bound) arrays of the tail
-    from x >= ``y0`` on.  Limits at or above ``y0`` take the series
+    from every start of the array x >= ``y0`` on, in one call (a series of
+    :mod:`~cfmoments.specfun`).  Limits at or above ``y0`` take the series
     directly.  The limits below it share one bridge integral of ``f`` over
     [min y, y0]: the oscillation plan merged with the limits themselves,
     refined once, with ``max_panels`` of headroom beyond the merged panels.
@@ -552,19 +548,20 @@ class ChebyshevBlocks:
         return out
 
 
-def trig_tail_integral(y, alpha: float, kind: str = "exp", bridge_to: float = 32.0):
+def trig_tail_integral(y, alpha: float, kind: str = "exp"):
     """``int_y^inf u**(-1-alpha) exp(iu) du`` and its cos/sin parts.
 
-    ``y`` is a lower limit or an array of them.  Above ``bridge_to`` the
-    integration-by-parts asymptotics apply directly; below, the gap up to
-    the asymptotic regime is closed by one oscillation-aware panel
-    quadrature shared by all limits (:func:`bridged_tail`).  Returns
-    ``(value, error_bound)``, scalars for a scalar ``y``.
+    ``y`` is a lower limit or an array of them.  From ``max(32, 4 (1 +
+    alpha))`` on the integration-by-parts asymptotics apply directly;
+    below, the gap up to the asymptotic regime is closed by one
+    oscillation-aware panel quadrature shared by all limits
+    (:func:`bridged_tail`).  Returns ``(value, error_bound)``, scalars for
+    a scalar ``y``.
     """
     val, err = bridged_tail(
         lambda u: u ** (-1.0 - alpha) * np.exp(1j * u),
         lambda x: trig_power_tail(x, alpha),
-        y, max(bridge_to, 4.0 * (1.0 + alpha)),
+        y, max(32.0, 4.0 * (1.0 + alpha)),
         per_octave=6, rel_tol=1e-13, abs_tol=1e-16, max_panels=1024,
     )
     if kind == "cos":

@@ -5,8 +5,9 @@ hosts the gamma function (scipy's, behind a pole check), the alternating
 power sum that appears in the normalizing constants, the moment constant
 and its reciprocal, the closed form of the oscillatory kernel integral,
 the Mellin value of ``sin^2``, surface areas of unit spheres, and the
-asymptotic tail of ``r**(-1-alpha) * exp(i r)`` integrals used by the
-oscillatory tail handlers.
+asymptotic tails of ``u**(-1-alpha) K(u)`` integrals for ``K = exp(iu)``
+and J0 (Hankel's expansion), which share one integration-by-parts series:
+one coefficient builder and one summation over all lower limits at once.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "cosine_difference_kernel",
     "cosine_difference_kernel_bound",
     "trig_power_tail",
+    "j0_power_tail",
     "plane_wave_mean_denominator",
     "MAX_DIFFERENCE_ORDER",
 ]
@@ -268,34 +270,67 @@ def cosine_difference_kernel_bound(k: int, r):
     return np.minimum(2.0 ** (k + 1), 2.0 * r**k)
 
 
-def _power_tail_series(y, nu, tol):
-    """``(sum, bound)`` of :func:`trig_power_tail`'s series for one start.
+# rounding of a tail, relative to the summed magnitudes of its parts: eight
+# ulp, where the tails of cos, sin and J0 were measured to need up to 2.5
+_TAIL_ROUNDING = 8 * 2.0**-52
 
-    The terms can only decrease up to index ``y - nu + 1``, so all of them
-    are formed in one numpy pass each for powers, magnitudes and partial
-    sums, with the same operations as the array path; the stopping rule
-    then picks how many are taken.
-    """
-    n = int(min(200, max(2, math.ceil(y - nu) + 2)))
-    coeffs = [1j]
-    for j in range(n - 1):
-        coeffs.append(coeffs[-1] * (-1j * (nu + j)))
+# the integration-by-parts series keep at most this many terms
+_POWER_TAIL_TERMS = 200
+
+
+def _power_tail_coefficients(nu, n):
+    """``(c, |c|)``: the first ``n`` coefficients ``c_j = i (-i)**j (nu)_j``
+    of the integration-by-parts series of ``int_y^inf u**(-nu) exp(iu)
+    du``, with ``c_0 = i`` and ``c_(j+1) = -i (nu + j) c_j``; one row per
+    element of an array ``nu``.  Far coefficients may overflow; the
+    summation's stopping rule never takes them."""
+    nu = np.asarray(nu, dtype=float)[..., None]
+    # the phase i (-i)**j by j mod 4
+    phases = np.array([1j, 1.0, -1j, -1.0])[np.arange(n) % 4]
     with np.errstate(over="ignore", invalid="ignore"):
-        # far terms may overflow; the stopping rule never reaches them
-        terms = np.array(coeffs) * np.array([y]) ** (-nu - np.arange(n))
-        mags = np.abs(terms)
-        partial = np.cumsum(terms)
-    # stop before the first term that does not decrease, or after the
-    # first one below tol relative to the sum
-    rising = np.flatnonzero(~(mags < np.concatenate([[math.inf], mags[:-1]])))
-    small = np.flatnonzero(mags < tol * np.maximum(np.abs(partial), 1e-300))
-    taken = min(rising[0] if rising.size else n, small[0] + 1 if small.size else n)
-    if taken == 0:
-        return 0j, (np.array([y]) ** (1.0 - nu))[0] / max(nu - 1.0, 1e-300)
-    return partial[taken - 1], mags[taken - 1]
+        mags = np.cumprod(np.concatenate(
+            [np.ones(nu.shape), nu + np.arange(n - 1)], axis=-1), axis=-1)
+        return phases * mags, mags
 
 
-def trig_power_tail(y, alpha: float, tol: float = 1e-16):
+def _power_series_sum(y, nu, coeffs, mags):
+    """``(sums, last, total)`` of ``sum_j coeffs_j y**(-nu-j)`` for every
+    start of the 1-d array ``y``: the sum, the magnitude ``mags_j
+    y**(-nu-j)`` of the last term taken (it bounds an integration-by-parts
+    remainder) and the summed magnitudes.  Terms are taken while their
+    magnitudes decrease, through the first one below 1e-16 of its partial
+    sum and at most ``len(coeffs)``; a start whose first magnitude is not
+    finite takes none, with sum 0 and an infinite ``last``.
+
+    One block holds a row of powers per term, summed down its columns in
+    term order.  Past index ``y - nu`` no term decreases when ``mags_(j+1)
+    >= (nu + j) mags_j``, so the block starts with ``ceil(max y - nu) + 2``
+    rows, at most 64, and doubles while a start takes every row.
+    """
+    rows = np.arange(y.size)
+    n = min(coeffs.size, 64, max(2, math.ceil(y.max(initial=0.0) - nu) + 2))
+    while True:
+        with np.errstate(over="ignore", invalid="ignore"):
+            # far terms may overflow; the stopping rule never takes them
+            powers = y ** (-nu - np.arange(n))[:, None]
+            # row j + 1 holds term j of every start; row 0 stands for no
+            # term taken, an empty sum after an infinite magnitude
+            start = np.zeros((1, y.size))
+            partial = np.cumsum(np.vstack([start, coeffs[:n, None] * powers]), axis=0)
+            m = np.vstack([start + math.inf, mags[:n, None] * powers])
+            # a term is taken while it is below the one before it, and that
+            # one is not below 1e-16 of its partial sum
+            ceiling = np.where(m >= 1e-16 * np.maximum(np.abs(partial), 1e-300), m, -math.inf)
+            taken = np.logical_and.accumulate(m[1:] < ceiling[:-1], axis=0).sum(axis=0)
+        if n == coeffs.size or not np.any(taken == n):
+            break
+        n = min(coeffs.size, 2 * n)
+    last = m[taken, rows]
+    m[0] = 0.0
+    return partial[taken, rows], last, np.cumsum(m, axis=0)[taken, rows]
+
+
+def trig_power_tail(y, alpha: float):
     """Asymptotic value of ``int_y^inf u**(-1-alpha) exp(iu) du``.
 
     Repeated integration by parts unrolls the integral into
@@ -303,41 +338,76 @@ def trig_power_tail(y, alpha: float, tol: float = 1e-16):
     ``c_{j+1} = -i (nu+j) c_j``.  The remainder after the j-th term is
     bounded by that term's magnitude, so each element's series is summed
     while its terms decrease and cut at the smallest one (or once a term
-    falls below ``tol`` relative to the sum).  ``y`` is a scalar or an
-    array; returns ``(value, bound)`` of the same shape.  Up to three
-    starts are summed start by start, more by one numpy pass per term;
-    both give the same values to an ulp.  Useful once ``y >~ nu``; callers
-    bridge smaller y by quadrature.
+    falls below 1e-16 relative to the sum).  ``y`` is a scalar or an
+    array; returns ``(value, bound)`` of the same shape.  All starts share
+    one block summation, so a start's value does not depend on its batch;
+    a start whose first term overflows takes none, bounded by ``int_y^inf
+    u**(-nu) du``.  Useful once ``y >~ nu``; callers bridge smaller y by
+    quadrature.
     """
     y_arr = np.asarray(y, dtype=float)
     flat = y_arr.ravel()
     if np.any(flat <= 0.0):
         raise DomainError("trig_power_tail requires y > 0")
     nu = 1.0 + alpha
-    if flat.size <= 3:
-        acc = np.empty(flat.size, dtype=complex)
-        bound = np.empty(flat.size)
-        for i, yi in enumerate(flat.tolist()):
-            acc[i], bound[i] = _power_tail_series(yi, nu, tol)
-    else:
-        acc = np.zeros(flat.size, dtype=complex)
-        prev_mag = np.full(flat.size, math.inf)
-        bound = flat ** (1.0 - nu) / max(nu - 1.0, 1e-300)
-        live = np.arange(flat.size)
-        coeff = 1j
-        for j in range(200):
-            if live.size == 0:
-                break
-            term = coeff * flat[live] ** (-nu - j)
-            mag = np.abs(term)
-            falling = mag < prev_mag[live]
-            live, term, mag = live[falling], term[falling], mag[falling]
-            acc[live] += term
-            bound[live] = mag
-            prev_mag[live] = mag
-            live = live[mag >= tol * np.maximum(np.abs(acc[live]), 1e-300)]
-            coeff *= -1j * (nu + j)
+    acc, bound, _ = _power_series_sum(flat, nu, *_power_tail_coefficients(nu, _POWER_TAIL_TERMS))
+    empty = bound == math.inf
+    bound[empty] = flat[empty] ** (1.0 - nu) / max(nu - 1.0, 1e-300)
     value = np.exp(1j * flat) * acc
     if y_arr.ndim == 0:
         return complex(value[0]), float(bound[0])
     return value.reshape(y_arr.shape), bound.reshape(y_arr.shape)
+
+
+# Hankel's expansion of J0 (DLMF 10.17.1; Watson, Bessel Functions, 7.21):
+# J0(u) = Re[sqrt(2/(pi u)) exp(i (u - pi/4)) sum_k i**k a_k u**-k], with
+# a_k = (-1)**k 1**2 3**2 ... (2k - 1)**2 / (k! 8**k); the tail takes the
+# first _HANKEL_TERMS terms, and a_K of the first omitted one bounds the rest
+_HANKEL_TERMS = 8
+_HANKEL_A = np.array([(-1) ** k * math.prod((2 * i - 1) ** 2 for i in range(1, k + 1))
+                      / (math.factorial(k) * 8**k) for k in range(_HANKEL_TERMS + 1)])
+
+
+def j0_power_tail(y, alpha: float):
+    """``int_y^inf u**(-1-alpha) J0(u) du`` for ``y >= max(32, 4 (1 +
+    alpha))``, from Hankel's expansion; returns ``(value, bound)`` arrays
+    of the shape of ``y``.
+
+    Term k of the expansion is ``A_k u**(-nu_k) exp(iu)`` with ``nu_k =
+    alpha + 3/2 + k``, whose tail integration by parts unrolls into the
+    series of :func:`trig_power_tail`, ``exp(iy) sum_j c_j(nu_k)
+    y**(-nu_k-j)`` with ``c_j(nu) = i (-i)**j (nu)_j``.  Collecting the
+    powers of y gives one series, ``sum_n C_n y**(-nu_0-n)``, summed per
+    limit by the same block summation while the sum ``D_n y**(-nu_0-n)``
+    of its parts' magnitudes decreases, and cut at the smallest one or
+    below 1e-16 of the sum; that last magnitude bounds every part's
+    remainder together.  Once all K rows are present, ``D_(n+1) = (nu_0 +
+    n) D_n``, so past index ``y - nu_0`` no collected term decreases
+    either.  For real u the expansion's own remainder after K terms is
+    below ``sqrt(2/(pi u)) (|a_K| u**-K + |a_(K+1)| u**-(K+1))``, which is
+    below ``|a_K| u**-K`` once u >= 32, and integrates to ``|a_K|
+    y**(-alpha-K-1/2) / (alpha + K + 1/2)``.  The rounding of the sum and
+    of its phase adds the tails' eight ulp of ``sum_n D_n
+    y**(-nu_0-n)``, which the value itself can fall far below near a zero
+    of its phase.
+    """
+    y = np.asarray(y, dtype=float)
+    flat = y.ravel()
+    K, N = _HANKEL_TERMS, _POWER_TAIL_TERMS
+    nu0 = 1.5 + alpha
+    amp = (math.sqrt(2.0 / math.pi) * _HANKEL_A[:K] * 1j ** np.arange(K)
+           * complex(math.sqrt(0.5), -math.sqrt(0.5)))
+    # row k holds c_j(nu_k); the powers n = k + j collected
+    c, mags = _power_tail_coefficients(nu0 + np.arange(K), N)
+    C = np.zeros(N, dtype=complex)
+    D = np.zeros(N)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(K):
+            C[k:] += amp[k] * c[k, :N - k]
+            D[k:] += abs(amp[k]) * mags[k, :N - k]
+    acc, bound, total = _power_series_sum(flat, nu0, C, D)
+    nu = alpha + 0.5 + K
+    val = np.real(np.exp(1j * flat) * acc).reshape(y.shape)
+    err = (bound + abs(_HANKEL_A[K]) * flat ** (-nu) / nu
+           + _TAIL_ROUNDING * total).reshape(y.shape)
+    return val, err

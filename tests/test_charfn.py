@@ -372,6 +372,28 @@ class TestOriginSeries:
                             + 0.3 * mpmath.exp(-2.0 * r**2) - 0.8)
         self._check(cf.make_schoenberg(mixing, 2.0, 1).series(), e, ref)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_atoms_all_at_the_origin_have_the_empty_series(self, d):
+        # the transform is the constant 1: no term, not twelve zero ones
+        s = cf.make_point_mass(np.zeros(d)).series()
+        assert s.exponents.size == s.coeffs.size == s.errors.size == 0
+
+    def test_schoenberg_mixing_atom_at_zero_adds_no_rounding(self):
+        from cfmoments.moment_engine import even_order_moment
+
+        mixing = DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([0.3, 0.7]))
+        phi = cf.make_schoenberg(mixing, 2.0, 1)
+        alone = cf._weighted_union([0.7], [cf.make_stable(2.0, 1.0, 1).series()])
+        got = phi.series()
+        for a, b in ((got.exponents, alone.exponents), (got.coeffs, alone.coeffs),
+                     (got.errors, alone.errors)):
+            assert np.array_equal(a, b)
+        # the value is the one the twelve zero terms gave; its bar was
+        # 9.33e-16 with one merged rounding per exponent, and is 7.77e-16
+        res = even_order_moment(phi, 2)
+        assert res.value == 1.4
+        assert res.error_estimate < 8e-16
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_atoms(self, d):
         mpmath = pytest.importorskip("mpmath")
